@@ -112,6 +112,14 @@ impl Assignment {
         }
     }
 
+    /// Trail position of the newest refinement of any net accepted by
+    /// `is_member`, or `None` when no such net has been refined since the
+    /// trail began. A reverse scan that allocates nothing; the search uses it
+    /// to find the newest decision a refutation over those nets depends on.
+    pub fn newest_refinement(&self, mut is_member: impl FnMut(NetId) -> bool) -> Option<usize> {
+        self.trail.iter().rposition(|entry| is_member(entry.net))
+    }
+
     /// Current length of the trail; use with [`Assignment::backtrack_to`].
     pub fn mark(&self) -> usize {
         self.trail.len()
@@ -287,6 +295,21 @@ mod tests {
         asg.backtrack_to(m0);
         assert_eq!(asg.value(a), &Bv3::all_x(4));
         assert!(asg.value(w).is_all_x());
+    }
+
+    #[test]
+    fn newest_refinement_finds_the_latest_matching_entry() {
+        let (nl, a, b) = simple();
+        let mut asg = Assignment::new(&nl);
+        assert_eq!(asg.newest_refinement(|_| true), None);
+        asg.refine(a, &cube("4'b1xxx")).unwrap();
+        asg.refine(b, &cube("4'b0000")).unwrap();
+        asg.refine(a, &cube("4'b11xx")).unwrap();
+        asg.refine(b, &cube("4'b0000")).unwrap(); // no change, no entry
+        assert_eq!(asg.newest_refinement(|n| n == a), Some(2));
+        assert_eq!(asg.newest_refinement(|n| n == b), Some(1));
+        asg.backtrack_to(2);
+        assert_eq!(asg.newest_refinement(|n| n == a), Some(0));
     }
 
     #[test]

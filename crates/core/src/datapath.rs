@@ -33,6 +33,16 @@
 //! Setting [`crate::CheckerOptions::incremental_datapath`] to `false` rebuilds
 //! all cached state on every call through the *same* code path — the
 //! from-scratch oracle used by the differential tests.
+//!
+//! # Refutations
+//!
+//! An infeasible island is reported with the trail length its value rows
+//! depend on, which lets the search backjump over every later decision. The
+//! islands are solved in turn and each solution is merged before the next
+//! solve, so a later island can be refuted only because an earlier one
+//! picked an unlucky solution. Such a refutation proves nothing about the
+//! search's assignment; the island is re-solved without the merges, and the
+//! leaf is inconclusive unless that solve refutes it too.
 
 use crate::assignment::Assignment;
 use crate::config::CheckerOptions;
@@ -60,7 +70,12 @@ pub(crate) enum DatapathOutcome {
     Consistent(Vec<Bv>),
     /// Some extracted constraint subset is unsatisfiable in the modular ring;
     /// the current control solution must be abandoned (sound for proving).
-    Infeasible,
+    ///
+    /// The payload explains the refutation: the refuted island's values
+    /// were all set by the first `len` trail entries, so every assignment
+    /// that keeps those entries is refuted too, and the search may skip
+    /// every decision taken at or past trail position `len`.
+    Infeasible(usize),
     /// Neither a solution nor a refutation could be established within the
     /// configured budget.
     Inconclusive,
@@ -336,8 +351,7 @@ impl DatapathContext {
             if let (Some(store), Some(key)) = (facts.as_deref(), fact_key.as_ref()) {
                 if store.facts.contains(key) {
                     stats.datapath_fact_hits += 1;
-                    asg.backtrack_to(mark);
-                    return DatapathOutcome::Infeasible;
+                    return self.refutation(island_id, asg, mark, options, stats);
                 }
             }
             stats.arithmetic_calls += 1;
@@ -376,8 +390,7 @@ impl DatapathContext {
                     }
                 }
                 IslandOutcome::Infeasible => {
-                    asg.backtrack_to(mark);
-                    return DatapathOutcome::Infeasible;
+                    return self.refutation(island_id, asg, mark, options, stats);
                 }
                 // An exhausted enumeration budget and a failed concretization
                 // are both inconclusive, so nothing distinguishes this case
@@ -388,6 +401,49 @@ impl DatapathContext {
         let outcome = self.concretize_outcome(netlist, asg, requirements);
         asg.backtrack_to(mark);
         outcome
+    }
+
+    /// Turns a refutation of `island_id` into the leaf's outcome and rolls
+    /// the speculative merges back to `mark`.
+    ///
+    /// The solve read nothing but the island nets' values, so the newest
+    /// trail entry refining one of them bounds what the refutation depends
+    /// on (see [`DatapathOutcome::Infeasible`]). An entry at or past `mark`
+    /// means those values rest on an earlier island's arbitrary solution,
+    /// which proves nothing about the search's own assignment: the island is
+    /// then solved again without the merges, and only a refutation there
+    /// counts.
+    fn refutation(
+        &mut self,
+        island_id: usize,
+        asg: &mut Assignment,
+        mark: usize,
+        options: &CheckerOptions,
+        stats: &mut CheckStats,
+    ) -> DatapathOutcome {
+        let mut newest = self.newest_island_refinement(island_id, asg);
+        if newest.is_some_and(|position| position >= mark) {
+            asg.backtrack_to(mark);
+            stats.arithmetic_calls += 1;
+            let island = &mut self.islands[island_id];
+            if !matches!(
+                solve_island(island, &self.net_var, asg, options),
+                IslandOutcome::Infeasible
+            ) {
+                return DatapathOutcome::Inconclusive;
+            }
+            newest = self.newest_island_refinement(island_id, asg);
+        }
+        asg.backtrack_to(mark);
+        DatapathOutcome::Infeasible(newest.map_or(0, |position| position + 1))
+    }
+
+    /// Trail position of the newest refinement of any net of `island_id`.
+    fn newest_island_refinement(&self, island_id: usize, asg: &Assignment) -> Option<usize> {
+        let nets = &self.islands[island_id].nets;
+        // `net_var` is an index into the owning island's net list, so a net
+        // belongs to this island exactly when that slot holds it.
+        asg.newest_refinement(|net| nets.get(self.net_var[net.index()] as usize) == Some(&net))
     }
 
     /// Runs the concretization pass and wraps it as a [`DatapathOutcome`].
@@ -840,7 +896,8 @@ mod tests {
             &CheckerOptions::default(),
             &mut CheckStats::default(),
         );
-        assert_eq!(out, DatapathOutcome::Infeasible);
+        // The value rows come from the trail's first entry alone.
+        assert_eq!(out, DatapathOutcome::Infeasible(1));
     }
 
     #[test]

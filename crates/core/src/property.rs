@@ -78,7 +78,10 @@ pub struct Verification {
 
 impl Verification {
     /// Bundles a netlist with a property and no environment constraints.
-    pub fn new(netlist: Netlist, property: Property) -> Self {
+    pub fn new(mut netlist: Netlist, property: Property) -> Self {
+        // The design is done being built: release the builder's spare
+        // capacity, since a job may keep it alive for a long time.
+        netlist.shrink_to_fit();
         Verification {
             netlist,
             property,

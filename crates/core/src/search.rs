@@ -2,9 +2,28 @@
 //!
 //! The search interleaves word-level implication, unjustified-gate detection,
 //! decision-point selection on *control* signals only, bias-ordered decision
-//! making, chronological backtracking over the word-level value trail, and —
-//! once the control constraints are satisfied — the modular arithmetic
-//! datapath resolution of [`crate::datapath`].
+//! making, backtracking over the word-level value trail, and — once the
+//! control constraints are satisfied — the modular arithmetic datapath
+//! resolution of [`crate::datapath`].
+//!
+//! # Backjumping over refuted datapath islands
+//!
+//! A conflict found by implication or a failed decision steps back
+//! chronologically: the newest decision with an untried value flips. A
+//! datapath refutation carries more information. The modular solver read
+//! nothing but the values of the refuted island's nets, and the leaf reports
+//! the trail length `len` that set all of them. Every decision taken at or
+//! past trail position `len` refined other nets only, so the search pops
+//! those decisions untried and then steps back from the newest decision
+//! that remains. This is sound: every completion of a skipped subtree only
+//! refines the island's values further, each value row pushed for the solve
+//! (a fixed value or a known low-bit congruence) is then still implied, and
+//! a modular system with more implied rows stays infeasible. When no
+//! decision remains, the search ends exactly as an exhausted chronological
+//! search does: `Unsat`, or inconclusive if an earlier leaf was. A
+//! refutation that rests on an earlier island's speculative solution is no
+//! proof about the search's own assignment; the leaf re-solves the island
+//! without it before reporting one (see [`crate::datapath`]).
 //!
 //! All search state lives in a reusable [`SearchContext`]: the assignment and
 //! its delta trail, the levelized propagator, the dense justification
@@ -394,12 +413,19 @@ impl SearchContext {
                         }
                         return SearchOutcome::Sat(values);
                     }
-                    DatapathOutcome::Infeasible => {
+                    DatapathOutcome::Infeasible(len) => {
                         stats.conflicts += 1;
                         if options.trace {
                             options
                                 .trace_sink
                                 .event("datapath_infeasible", span, stats.decisions);
+                        }
+                        // Backjump: decisions taken at or past trail position
+                        // `len` set none of the refuted island's values, so
+                        // neither of their branches can revive it.
+                        while self.stack.last().is_some_and(|d| d.mark >= len) {
+                            self.stack.pop();
+                            stats.backtracks += 1;
                         }
                     }
                     DatapathOutcome::Inconclusive => {
@@ -506,7 +532,8 @@ impl SearchContext {
     }
 
     /// Chronological backtracking: undo decisions until one still has an
-    /// untried alternative that survives implication.
+    /// untried alternative that survives implication. (A datapath refutation
+    /// first pops the decisions it does not depend on; see the module doc.)
     fn backtrack(&mut self, netlist: &Netlist, estg: &mut Estg, stats: &mut CheckStats) -> bool {
         loop {
             let Some(mut top) = self.stack.pop() else {

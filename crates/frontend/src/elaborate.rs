@@ -93,6 +93,8 @@ impl<'a> Elaborator<'a> {
                 self.netlist.mark_output(port.name.clone(), signal.net);
             }
         }
+        // The design is complete; a registry may keep it for a long time.
+        self.netlist.shrink_to_fit();
         Ok(self.netlist)
     }
 

@@ -3,7 +3,9 @@
 use std::fmt;
 
 /// Identifier of a net (a named, fixed-width signal) inside a [`crate::Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The default id is index 0; it only fills unused inline list slots.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -29,7 +31,9 @@ impl fmt::Display for NetId {
 }
 
 /// Identifier of a gate (an instance of a word-level primitive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The default id is index 0; it only fills unused inline list slots.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GateId(pub(crate) u32);
 
 impl GateId {

@@ -1,82 +1,115 @@
-//! Inline small-vector storage for gate input pins.
+//! Inline small-vector storage for gate pins and fanout lists.
 //!
-//! Almost every word-level primitive has at most three inputs (the mux), so
-//! storing them in a `Vec<NetId>` pays one heap allocation per gate — which
-//! shows up as per-bound setup cost when a bounded checker expands thousands
-//! of gates per time-frame. [`GateInputs`] keeps up to [`GateInputs::INLINE`]
-//! pins inline and only spills wider fan-in gates (e.g. `and_many` monitors)
-//! to the heap. It dereferences to `[NetId]`, so all slice-style consumers
-//! (indexing, iteration, `len`) are unaffected.
+//! Almost every word-level primitive has at most three inputs (the mux), and
+//! most nets feed only a few gates, so storing either list in a `Vec` pays
+//! one heap allocation per gate or net — which shows up as per-bound setup
+//! cost when a bounded checker expands thousands of gates per time-frame,
+//! and as resident memory for every netlist kept alive. [`InlineIds`] keeps
+//! up to [`InlineIds::INLINE`] ids inline and only spills longer lists (e.g.
+//! `and_many` monitors, high-fanout select lines) to the heap. It
+//! dereferences to `[T]`, so all slice-style consumers (indexing, iteration,
+//! `len`) are unaffected.
 
-use crate::ids::NetId;
+use crate::ids::{GateId, NetId};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 #[derive(Clone)]
-enum Repr {
-    Inline {
-        len: u8,
-        buf: [NetId; GateInputs::INLINE],
-    },
-    Spilled(Vec<NetId>),
+enum Repr<T> {
+    Inline { len: u8, buf: [T; INLINE] },
+    Spilled(Vec<T>),
 }
 
-/// The input pins of a gate: inline up to [`GateInputs::INLINE`] nets,
+const INLINE: usize = 4;
+
+/// A list of ids: inline up to [`InlineIds::INLINE`] entries,
 /// heap-allocated beyond that.
 #[derive(Clone)]
-pub struct GateInputs {
-    repr: Repr,
+pub struct InlineIds<T> {
+    repr: Repr<T>,
 }
 
-impl GateInputs {
-    /// Number of pins stored without a heap allocation. Three covers every
-    /// fixed-arity primitive (mux); the fourth slot absorbs small n-ary
-    /// Boolean gates.
-    pub const INLINE: usize = 4;
+/// The input pins of a gate.
+pub type GateInputs = InlineIds<NetId>;
 
-    /// Creates an empty pin list (e.g. for constant drivers).
+/// The gates reading a net.
+pub(crate) type Fanouts = InlineIds<GateId>;
+
+impl<T: Copy + Default> InlineIds<T> {
+    /// Number of ids stored without a heap allocation. Three covers every
+    /// fixed-arity primitive (mux); the fourth slot absorbs small n-ary
+    /// Boolean gates and typical fanouts.
+    pub const INLINE: usize = INLINE;
+
+    /// Creates an empty list (e.g. the pins of a constant driver).
     pub fn new() -> Self {
-        GateInputs {
+        InlineIds {
             repr: Repr::Inline {
                 len: 0,
-                buf: [NetId(0); GateInputs::INLINE],
+                buf: [T::default(); INLINE],
             },
         }
     }
 
-    /// Appends one pin, spilling to the heap when the inline capacity is
+    /// Appends one id, spilling to the heap when the inline capacity is
     /// exceeded.
-    pub fn push(&mut self, net: NetId) {
+    pub fn push(&mut self, id: T) {
         match &mut self.repr {
             Repr::Inline { len, buf } => {
-                if (*len as usize) < GateInputs::INLINE {
-                    buf[*len as usize] = net;
+                if (*len as usize) < INLINE {
+                    buf[*len as usize] = id;
                     *len += 1;
                 } else {
-                    let mut spilled = Vec::with_capacity(GateInputs::INLINE * 2);
+                    let mut spilled = Vec::with_capacity(INLINE * 2);
                     spilled.extend_from_slice(&buf[..]);
-                    spilled.push(net);
+                    spilled.push(id);
                     self.repr = Repr::Spilled(spilled);
                 }
             }
-            Repr::Spilled(v) => v.push(net),
+            Repr::Spilled(v) => v.push(id),
         }
     }
 
-    /// `true` when the pins live inline (no heap allocation).
+    /// Keeps only the ids for which `keep` returns `true`, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        match &mut self.repr {
+            Repr::Inline { len, buf } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if keep(&buf[i]) {
+                        buf[kept] = buf[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Repr::Spilled(v) => v.retain(keep),
+        }
+    }
+
+    /// Releases spare heap capacity of a spilled list.
+    pub fn shrink_to_fit(&mut self) {
+        if let Repr::Spilled(v) = &mut self.repr {
+            v.shrink_to_fit();
+        }
+    }
+
+    /// `true` when the ids live inline (no heap allocation).
     pub fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
     }
+}
 
-    /// The pins as a slice.
-    pub fn as_slice(&self) -> &[NetId] {
+impl<T> InlineIds<T> {
+    /// The ids as a slice.
+    pub fn as_slice(&self) -> &[T] {
         match &self.repr {
             Repr::Inline { len, buf } => &buf[..*len as usize],
             Repr::Spilled(v) => v,
         }
     }
 
-    fn as_mut_slice(&mut self) -> &mut [NetId] {
+    fn as_mut_slice(&mut self) -> &mut [T] {
         match &mut self.repr {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
             Repr::Spilled(v) => v,
@@ -84,77 +117,77 @@ impl GateInputs {
     }
 }
 
-impl Default for GateInputs {
+impl<T: Copy + Default> Default for InlineIds<T> {
     fn default() -> Self {
-        GateInputs::new()
+        InlineIds::new()
     }
 }
 
-impl Deref for GateInputs {
-    type Target = [NetId];
+impl<T> Deref for InlineIds<T> {
+    type Target = [T];
 
-    fn deref(&self) -> &[NetId] {
+    fn deref(&self) -> &[T] {
         self.as_slice()
     }
 }
 
-impl DerefMut for GateInputs {
-    fn deref_mut(&mut self) -> &mut [NetId] {
+impl<T> DerefMut for InlineIds<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
         self.as_mut_slice()
     }
 }
 
-impl PartialEq for GateInputs {
+impl<T: PartialEq> PartialEq for InlineIds<T> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl Eq for GateInputs {}
+impl<T: Eq> Eq for InlineIds<T> {}
 
-impl fmt::Debug for GateInputs {
+impl<T: fmt::Debug> fmt::Debug for InlineIds<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
-impl FromIterator<NetId> for GateInputs {
-    fn from_iter<I: IntoIterator<Item = NetId>>(iter: I) -> Self {
-        let mut inputs = GateInputs::new();
-        for net in iter {
-            inputs.push(net);
+impl<T: Copy + Default> FromIterator<T> for InlineIds<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut ids = InlineIds::new();
+        for id in iter {
+            ids.push(id);
         }
-        inputs
+        ids
     }
 }
 
-impl From<Vec<NetId>> for GateInputs {
-    fn from(v: Vec<NetId>) -> Self {
-        if v.len() <= GateInputs::INLINE {
+impl<T: Copy + Default> From<Vec<T>> for InlineIds<T> {
+    fn from(v: Vec<T>) -> Self {
+        if v.len() <= INLINE {
             v.into_iter().collect()
         } else {
-            GateInputs {
+            InlineIds {
                 repr: Repr::Spilled(v),
             }
         }
     }
 }
 
-impl From<&[NetId]> for GateInputs {
-    fn from(s: &[NetId]) -> Self {
+impl<T: Copy + Default> From<&[T]> for InlineIds<T> {
+    fn from(s: &[T]) -> Self {
         s.iter().copied().collect()
     }
 }
 
-impl<const N: usize> From<[NetId; N]> for GateInputs {
-    fn from(a: [NetId; N]) -> Self {
+impl<T: Copy + Default, const N: usize> From<[T; N]> for InlineIds<T> {
+    fn from(a: [T; N]) -> Self {
         a.into_iter().collect()
     }
 }
 
-impl<'a> IntoIterator for &'a GateInputs {
-    type Item = &'a NetId;
-    type IntoIter = std::slice::Iter<'a, NetId>;
+impl<'a, T> IntoIterator for &'a InlineIds<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.as_slice().iter()
@@ -198,6 +231,22 @@ mod tests {
         assert_ne!(c, a);
         assert_eq!(c[0], n(7));
         assert_eq!(format!("{c:?}"), format!("{:?}", c.as_slice()));
+    }
+
+    #[test]
+    fn retain_keeps_order_inline_and_spilled() {
+        let mut inline: Fanouts = (0..4).map(GateId::from_index).collect();
+        inline.retain(|g| g.index() != 1);
+        assert!(inline.is_inline());
+        assert_eq!(
+            inline.as_slice(),
+            &[0, 2, 3].map(GateId::from_index),
+            "inline retain compacts in order"
+        );
+        let mut spilled: Fanouts = (0..9).map(GateId::from_index).collect();
+        spilled.retain(|g| g.index() % 2 == 0);
+        spilled.shrink_to_fit();
+        assert_eq!(spilled.as_slice(), &[0, 2, 4, 6, 8].map(GateId::from_index));
     }
 
     #[test]

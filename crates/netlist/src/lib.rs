@@ -41,7 +41,7 @@ mod unroll;
 
 pub use gate::{Gate, GateKind};
 pub use ids::{GateId, NetId};
-pub use inputs::GateInputs;
+pub use inputs::{GateInputs, InlineIds};
 pub use netlist::{CombinationalCycleError, GateShapeError, NetInfo, Netlist};
 pub use stats::CircuitStats;
 pub use unroll::{InitialState, Unrolling};

@@ -2,11 +2,12 @@
 
 use crate::gate::{Gate, GateKind};
 use crate::ids::{GateId, NetId};
-use crate::inputs::GateInputs;
+use crate::inputs::{Fanouts, GateInputs};
 use crate::stats::CircuitStats;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use wlac_bv::Bv;
 
 /// Information attached to a net.
@@ -82,38 +83,78 @@ impl Error for CombinationalCycleError {}
 /// assert_eq!(nl.stats().inputs, 8); // input *bits*: two 4-bit ports
 /// assert!(nl.combinational_order().is_ok());
 /// ```
+///
+/// The storage is copy-on-write: a clone costs O(1) and shares it with the
+/// original until either side is modified, so a frozen design can be handed
+/// to many checks, jobs and caches without copying its gates.
 #[derive(Debug, Clone)]
 pub struct Netlist {
+    data: Arc<NetlistData>,
+    /// Estimated number of HDL source lines for the design, used only for
+    /// reporting Table 1 statistics.
+    source_lines: usize,
+}
+
+/// The shared storage of a [`Netlist`].
+#[derive(Debug, Clone)]
+struct NetlistData {
     name: String,
     nets: Vec<NetInfo>,
     gates: Vec<Gate>,
     driver: Vec<Option<GateId>>,
-    fanouts: Vec<Vec<GateId>>,
+    fanouts: Vec<Fanouts>,
     inputs: Vec<NetId>,
     outputs: Vec<(String, NetId)>,
-    /// Estimated number of HDL source lines for the design, used only for
-    /// reporting Table 1 statistics.
-    source_lines: usize,
 }
 
 impl Netlist {
     /// Creates an empty netlist with the given design name.
     pub fn new(name: impl Into<String>) -> Self {
         Netlist {
-            name: name.into(),
-            nets: Vec::new(),
-            gates: Vec::new(),
-            driver: Vec::new(),
-            fanouts: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
+            data: Arc::new(NetlistData {
+                name: name.into(),
+                nets: Vec::new(),
+                gates: Vec::new(),
+                driver: Vec::new(),
+                fanouts: Vec::new(),
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+            }),
             source_lines: 0,
         }
     }
 
+    /// Write access to the storage, copying it first when it is shared
+    /// with a clone.
+    fn data_mut(&mut self) -> &mut NetlistData {
+        Arc::make_mut(&mut self.data)
+    }
+
+    /// Releases the spare capacity of every buffer, for a netlist that is
+    /// done being built. Storage shared with a clone is left as it is:
+    /// compacting it would mean copying it.
+    pub fn shrink_to_fit(&mut self) {
+        let Some(data) = Arc::get_mut(&mut self.data) else {
+            return;
+        };
+        data.name.shrink_to_fit();
+        data.nets.shrink_to_fit();
+        data.gates.shrink_to_fit();
+        for gate in &mut data.gates {
+            gate.inputs.shrink_to_fit();
+        }
+        data.driver.shrink_to_fit();
+        data.fanouts.shrink_to_fit();
+        for fanouts in &mut data.fanouts {
+            fanouts.shrink_to_fit();
+        }
+        data.inputs.shrink_to_fit();
+        data.outputs.shrink_to_fit();
+    }
+
     /// The design name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.data.name
     }
 
     /// Sets the estimated HDL line count reported by [`Netlist::stats`].
@@ -137,26 +178,27 @@ impl Netlist {
     /// Panics if `width` is zero.
     pub fn add_named_net(&mut self, width: usize, name: Option<impl Into<String>>) -> NetId {
         assert!(width > 0, "net width must be positive");
-        let id = NetId(self.nets.len() as u32);
-        self.nets.push(NetInfo {
+        let data = self.data_mut();
+        let id = NetId(data.nets.len() as u32);
+        data.nets.push(NetInfo {
             width,
             name: name.map(Into::into),
         });
-        self.driver.push(None);
-        self.fanouts.push(Vec::new());
+        data.driver.push(None);
+        data.fanouts.push(Fanouts::new());
         id
     }
 
     /// Declares a primary input of the given width and returns its net.
     pub fn input(&mut self, name: impl Into<String>, width: usize) -> NetId {
         let id = self.add_named_net(width, Some(name));
-        self.inputs.push(id);
+        self.data_mut().inputs.push(id);
         id
     }
 
     /// Marks a net as a primary output under the given name.
     pub fn mark_output(&mut self, name: impl Into<String>, net: NetId) {
-        self.outputs.push((name.into(), net));
+        self.data_mut().outputs.push((name.into(), net));
     }
 
     /// Marks an existing, undriven net as a primary input.
@@ -173,39 +215,41 @@ impl Netlist {
             self.driver(net).is_none(),
             "net {net} already has a driver and cannot be an input"
         );
-        if !self.inputs.contains(&net) {
-            self.inputs.push(net);
+        if !self.data.inputs.contains(&net) {
+            self.data_mut().inputs.push(net);
         }
     }
 
     /// Number of nets.
     pub fn net_count(&self) -> usize {
-        self.nets.len()
+        self.data.nets.len()
     }
 
     /// Number of gates.
     pub fn gate_count(&self) -> usize {
-        self.gates.len()
+        self.data.gates.len()
     }
 
     /// Width of a net.
     pub fn net_width(&self, net: NetId) -> usize {
-        self.nets[net.index()].width
+        self.data.nets[net.index()].width
     }
 
     /// Name of a net, if any.
     pub fn net_name(&self, net: NetId) -> Option<&str> {
-        self.nets[net.index()].name.as_deref()
+        self.data.nets[net.index()].name.as_deref()
     }
 
     /// Finds a net by name (inputs, outputs and named internal nets).
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.nets
+        self.data
+            .nets
             .iter()
             .position(|n| n.name.as_deref() == Some(name))
             .map(|i| NetId(i as u32))
             .or_else(|| {
-                self.outputs
+                self.data
+                    .outputs
                     .iter()
                     .find(|(n, _)| n == name)
                     .map(|(_, id)| *id)
@@ -214,22 +258,23 @@ impl Netlist {
 
     /// The primary inputs in declaration order.
     pub fn inputs(&self) -> &[NetId] {
-        &self.inputs
+        &self.data.inputs
     }
 
     /// The primary outputs as `(name, net)` pairs.
     pub fn outputs(&self) -> &[(String, NetId)] {
-        &self.outputs
+        &self.data.outputs
     }
 
     /// The gate with the given id.
     pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.index()]
+        &self.data.gates[id.index()]
     }
 
     /// Iterator over `(GateId, &Gate)`.
     pub fn gates(&self) -> impl Iterator<Item = (GateId, &Gate)> {
-        self.gates
+        self.data
+            .gates
             .iter()
             .enumerate()
             .map(|(i, g)| (GateId(i as u32), g))
@@ -237,22 +282,22 @@ impl Netlist {
 
     /// Iterator over all net ids.
     pub fn nets(&self) -> impl Iterator<Item = NetId> {
-        (0..self.nets.len() as u32).map(NetId)
+        (0..self.data.nets.len() as u32).map(NetId)
     }
 
     /// The gate driving a net, or `None` for primary inputs and floating nets.
     pub fn driver(&self, net: NetId) -> Option<GateId> {
-        self.driver[net.index()]
+        self.data.driver[net.index()]
     }
 
     /// The gates reading a net.
     pub fn fanouts(&self, net: NetId) -> &[GateId] {
-        &self.fanouts[net.index()]
+        &self.data.fanouts[net.index()]
     }
 
     /// `true` when the net is a primary input.
     pub fn is_input(&self, net: NetId) -> bool {
-        self.driver(net).is_none() && self.inputs.contains(&net)
+        self.driver(net).is_none() && self.data.inputs.contains(&net)
     }
 
     /// `true` when the net is single-bit, which is the paper's notion of a
@@ -288,17 +333,18 @@ impl Netlist {
     ) -> Result<GateId, GateShapeError> {
         let inputs = inputs.into();
         self.validate_gate(&kind, &inputs, output)?;
-        let id = GateId(self.gates.len() as u32);
-        if self.driver[output.index()].is_some() {
+        let id = GateId(self.data.gates.len() as u32);
+        if self.data.driver[output.index()].is_some() {
             return Err(GateShapeError::new(format!(
                 "net {output} already has a driver"
             )));
         }
-        self.driver[output.index()] = Some(id);
+        let data = self.data_mut();
+        data.driver[output.index()] = Some(id);
         for input in &inputs {
-            self.fanouts[input.index()].push(id);
+            data.fanouts[input.index()].push(id);
         }
-        self.gates.push(Gate {
+        data.gates.push(Gate {
             kind,
             inputs,
             output,
@@ -683,18 +729,19 @@ impl Netlist {
     /// Panics if the gate is not a flip-flop or the widths differ.
     pub fn connect_dff_data(&mut self, dff: GateId, data: NetId) {
         assert!(
-            self.gates[dff.index()].kind.is_flip_flop(),
+            self.data.gates[dff.index()].kind.is_flip_flop(),
             "gate {dff} is not a flip-flop"
         );
         assert_eq!(
-            self.net_width(self.gates[dff.index()].output),
+            self.net_width(self.data.gates[dff.index()].output),
             self.net_width(data),
             "flip-flop data width mismatch"
         );
-        let old = self.gates[dff.index()].inputs[0];
-        self.fanouts[old.index()].retain(|g| *g != dff);
-        self.gates[dff.index()].inputs[0] = data;
-        self.fanouts[data.index()].push(dff);
+        let storage = self.data_mut();
+        let old = storage.gates[dff.index()].inputs[0];
+        storage.fanouts[old.index()].retain(|g| *g != dff);
+        storage.gates[dff.index()].inputs[0] = data;
+        storage.fanouts[data.index()].push(dff);
     }
 
     // --- Analysis ------------------------------------------------------------------
@@ -707,29 +754,29 @@ impl Netlist {
     /// Returns [`CombinationalCycleError`] when the combinational logic
     /// contains a cycle.
     pub fn combinational_order(&self) -> Result<Vec<GateId>, CombinationalCycleError> {
-        let mut indegree = vec![0usize; self.gates.len()];
-        for (gi, gate) in self.gates.iter().enumerate() {
+        let mut indegree = vec![0usize; self.data.gates.len()];
+        for (gi, gate) in self.data.gates.iter().enumerate() {
             if gate.kind.is_flip_flop() {
                 continue;
             }
             for input in &gate.inputs {
-                if let Some(driver) = self.driver[input.index()] {
-                    if !self.gates[driver.index()].kind.is_flip_flop() {
+                if let Some(driver) = self.data.driver[input.index()] {
+                    if !self.data.gates[driver.index()].kind.is_flip_flop() {
                         indegree[gi] += 1;
                     }
                 }
             }
         }
-        let mut queue: VecDeque<usize> = (0..self.gates.len())
-            .filter(|i| !self.gates[*i].kind.is_flip_flop() && indegree[*i] == 0)
+        let mut queue: VecDeque<usize> = (0..self.data.gates.len())
+            .filter(|i| !self.data.gates[*i].kind.is_flip_flop() && indegree[*i] == 0)
             .collect();
         let mut order = Vec::new();
         while let Some(gi) = queue.pop_front() {
             order.push(GateId(gi as u32));
-            let out = self.gates[gi].output;
-            for reader in &self.fanouts[out.index()] {
+            let out = self.data.gates[gi].output;
+            for reader in &self.data.fanouts[out.index()] {
                 let ri = reader.index();
-                if self.gates[ri].kind.is_flip_flop() {
+                if self.data.gates[ri].kind.is_flip_flop() {
                     continue;
                 }
                 indegree[ri] -= 1;
@@ -738,12 +785,17 @@ impl Netlist {
                 }
             }
         }
-        let comb_total = self.gates.iter().filter(|g| !g.kind.is_flip_flop()).count();
+        let comb_total = self
+            .data
+            .gates
+            .iter()
+            .filter(|g| !g.kind.is_flip_flop())
+            .count();
         if order.len() != comb_total {
             // Find a gate still blocked to report a cycle witness.
-            let blocked = (0..self.gates.len())
-                .find(|i| !self.gates[*i].kind.is_flip_flop() && indegree[*i] > 0)
-                .map(|i| self.gates[i].output)
+            let blocked = (0..self.data.gates.len())
+                .find(|i| !self.data.gates[*i].kind.is_flip_flop() && indegree[*i] > 0)
+                .map(|i| self.data.gates[i].output)
                 .unwrap_or(NetId(0));
             return Err(CombinationalCycleError { net: blocked });
         }
@@ -770,17 +822,28 @@ impl Netlist {
     /// Aggregate statistics in the shape of the paper's Table 1.
     pub fn stats(&self) -> CircuitStats {
         CircuitStats {
-            name: self.name.clone(),
+            name: self.data.name.clone(),
             lines: self.source_lines,
-            gates: self.gates.iter().filter(|g| !g.kind.is_flip_flop()).count(),
+            gates: self
+                .data
+                .gates
+                .iter()
+                .filter(|g| !g.kind.is_flip_flop())
+                .count(),
             flip_flop_bits: self
+                .data
                 .gates
                 .iter()
                 .filter(|g| g.kind.is_flip_flop())
                 .map(|g| self.net_width(g.output))
                 .sum(),
-            inputs: self.inputs.iter().map(|n| self.net_width(*n)).sum(),
-            outputs: self.outputs.iter().map(|(_, n)| self.net_width(*n)).sum(),
+            inputs: self.data.inputs.iter().map(|n| self.net_width(*n)).sum(),
+            outputs: self
+                .data
+                .outputs
+                .iter()
+                .map(|(_, n)| self.net_width(*n))
+                .sum(),
         }
     }
 }
@@ -824,6 +887,36 @@ mod tests {
         let over = nl.outputs()[0].1;
         let drv = nl.driver(over).unwrap();
         assert!(nl.gate(drv).kind.is_comparator());
+    }
+
+    #[test]
+    fn clones_share_storage_until_one_is_modified() {
+        let original = demo();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.data, &copy.data));
+        let a = copy.inputs()[0];
+        let extra = copy.add(a, a);
+        copy.mark_output("extra", extra);
+        assert!(!Arc::ptr_eq(&original.data, &copy.data));
+        assert_eq!(original.gate_count(), 3);
+        assert_eq!(original.outputs().len(), 1);
+        assert_eq!(original.fanouts(a).len(), 1);
+        assert_eq!(copy.gate_count(), 4);
+        assert_eq!(copy.fanouts(a).len(), 3);
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_the_structure() {
+        let mut nl = demo();
+        let before = format!("{:?}", nl.data);
+        let shared = nl.clone();
+        nl.shrink_to_fit(); // shared: left as it is
+        assert!(Arc::ptr_eq(&nl.data, &shared.data));
+        drop(shared);
+        nl.shrink_to_fit();
+        assert_eq!(nl.data.gates.capacity(), nl.gate_count());
+        assert_eq!(nl.data.fanouts.capacity(), nl.net_count());
+        assert_eq!(format!("{:?}", nl.data), before);
     }
 
     #[test]

@@ -417,3 +417,42 @@ fn timeout_verdicts_are_never_persisted() {
     ));
     assert!(dir.entries().is_empty());
 }
+
+/// FNV-1a over the encoded snapshot bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn shared_and_compacted_netlists_keep_their_hash_and_snapshot_bytes() {
+    // Pinned from the encoding of a netlist that owned its buffers
+    // outright: sharing storage between clones and compacting it must not
+    // move a single byte of the canonical form.
+    const DESIGN: u64 = 0x70aa_10e4_5494_bb52;
+    const BYTES: (usize, u64) = (798, 0xb959_67d4_cd83_2b49);
+    let pinned = |snapshot: &Snapshot| {
+        let bytes = wlac_persist::encode_snapshot(snapshot).expect("encode");
+        assert_eq!(design_hash(&snapshot.netlist).0, DESIGN);
+        assert_eq!((bytes.len(), fnv(&bytes)), BYTES);
+    };
+    let mut snapshot = sample_snapshot();
+    pinned(&snapshot);
+
+    // A clone shares the storage; modifying it copies first, so the
+    // original (and its snapshot) is untouched.
+    let mut grown = snapshot.netlist.clone();
+    let extra = grown.input("extra", 8);
+    grown.mark_output("extra", extra);
+    assert_ne!(design_hash(&grown).0, DESIGN);
+    pinned(&snapshot);
+
+    // Compaction while shared is a no-op; once unique it releases capacity.
+    let shared = snapshot.netlist.clone();
+    snapshot.netlist.shrink_to_fit();
+    pinned(&snapshot);
+    drop(shared);
+    snapshot.netlist.shrink_to_fit();
+    pinned(&snapshot);
+}

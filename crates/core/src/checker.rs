@@ -195,11 +195,6 @@ impl AssertionChecker {
             }
             stats.frames_explored = frames;
             unrolling.extend_to(&verification.netlist, frames);
-            if self.options.trace {
-                self.options
-                    .trace_sink
-                    .event("bound", wlac_telemetry::SpanId::ROOT, frames as u64);
-            }
             self.options.recorder.record(
                 wlac_telemetry::RecorderLayer::Core,
                 wlac_telemetry::RecorderKind::Bound,
@@ -287,11 +282,6 @@ impl AssertionChecker {
             }
             stats.frames_explored = frames;
             unrolling.extend_to(&verification.netlist, frames);
-            if self.options.trace {
-                self.options
-                    .trace_sink
-                    .event("bound", wlac_telemetry::SpanId::ROOT, frames as u64);
-            }
             self.options.recorder.record(
                 wlac_telemetry::RecorderLayer::Core,
                 wlac_telemetry::RecorderKind::Bound,

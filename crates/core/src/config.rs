@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wlac_faultinject::FaultPlan;
-use wlac_telemetry::{ProgressHandle, RecorderHandle, SpanId, Tracer};
+use wlac_telemetry::{ProgressHandle, RecorderHandle};
 
 struct CancelInner {
     flag: AtomicBool,
@@ -106,72 +106,6 @@ impl fmt::Debug for CancelToken {
     }
 }
 
-/// Destination for structured span events emitted by a traced check.
-///
-/// Like [`CancelToken`], this is runtime wiring rather than configuration:
-/// cloning a sink yields a handle to the **same** tracer ring, and a sink
-/// with no tracer attached (the default) swallows every event. The search
-/// only emits when [`CheckerOptions::trace`] is set, so the default path
-/// pays nothing.
-#[derive(Clone, Default)]
-pub struct TraceSink {
-    tracer: Option<Arc<Tracer>>,
-}
-
-impl TraceSink {
-    /// A sink that discards every event (the default).
-    pub fn disabled() -> Self {
-        TraceSink::default()
-    }
-
-    /// A sink recording into `tracer`.
-    pub fn to(tracer: Arc<Tracer>) -> Self {
-        TraceSink {
-            tracer: Some(tracer),
-        }
-    }
-
-    /// `true` when a tracer is attached.
-    pub fn is_active(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
-    }
-
-    /// Opens a span (no-op returning [`SpanId::ROOT`] when inactive).
-    pub fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
-        match &self.tracer {
-            Some(t) => t.span_start(name, parent),
-            None => SpanId::ROOT,
-        }
-    }
-
-    /// Closes a span (no-op when inactive).
-    pub fn span_end(&self, span: SpanId, name: &'static str) {
-        if let Some(t) = &self.tracer {
-            t.span_end(span, name);
-        }
-    }
-
-    /// Records an instantaneous event (no-op when inactive).
-    pub fn event(&self, name: &'static str, parent: SpanId, value: u64) {
-        if let Some(t) = &self.tracer {
-            t.event(name, parent, value);
-        }
-    }
-}
-
-impl fmt::Debug for TraceSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceSink")
-            .field("active", &self.is_active())
-            .finish()
-    }
-}
-
 /// Options controlling the word-level ATPG search and the arithmetic solver.
 ///
 /// The defaults reproduce the configuration used for the paper's experiments:
@@ -219,41 +153,40 @@ pub struct CheckerOptions {
     /// still "the same configuration".
     pub cancel: CancelToken,
     /// Record phase-attributed wall-clock time ([`crate::PhaseNanos`]) and
-    /// emit per-decision span events into [`CheckerOptions::trace_sink`].
+    /// emit per-decision events (decision, conflict, backtrack, datapath
+    /// refutation, satisfiable leaf) into [`CheckerOptions::recorder`].
     /// Pure observability: verdicts and decision sequences are byte-identical
     /// with tracing on or off (enforced by a differential test), so — like
     /// `cancel` — this is ignored by equality comparisons.
     pub trace: bool,
-    /// Span-event destination used when [`CheckerOptions::trace`] is set.
-    /// Runtime wiring, ignored by equality comparisons.
-    pub trace_sink: TraceSink,
     /// Deterministic fault-injection plan crossed by the search loop (the
     /// `engine_hang` site). Disabled by default and — like `cancel` — pure
     /// runtime wiring: a plan can only make an engine *fail to answer*,
     /// never change what a definitive answer says, so equality ignores it.
     pub faults: FaultPlan,
-    /// Always-on flight-recorder handle: the search emits coarse lifecycle
-    /// events (search entry/exit, frame-bound advances) into it, stamped
-    /// with the job id the handle carries. Unlike [`CheckerOptions::trace`]
-    /// there is no opt-in flag — the disabled default costs one branch per
-    /// emission site, and the sites are per-frame, not per-decision, so the
-    /// hot path stays untouched. Runtime wiring, ignored by equality
-    /// comparisons.
+    /// Flight-recorder handle: the search emits coarse lifecycle events
+    /// (search entry/exit, frame-bound advances) into it, stamped with the
+    /// job id the handle carries, and per-decision events as well while
+    /// [`CheckerOptions::trace`] is set. The coarse events need no opt-in
+    /// flag — the disabled default costs one branch per emission site, and
+    /// those sites are per-frame, not per-decision, so the untraced hot path
+    /// stays untouched. Runtime wiring, ignored by equality comparisons.
     pub recorder: RecorderHandle,
     /// Live-progress handle: the search periodically publishes its effort
     /// counters (bound, decisions, conflicts, backtracks, restarts,
-    /// implications, phase nanos) into the attached [`ProgressCell`] so
-    /// observers can watch a long check in flight. Publication is lock-free
-    /// and alloc-free (a seqlock of pre-allocated atomics), the disabled
-    /// default costs one branch per throttled publication site, and a
-    /// differential test proves probed and unprobed runs are byte-identical
-    /// in verdicts and every counter. Runtime wiring, ignored by equality
-    /// comparisons.
+    /// implications, phase nanos) into the attached
+    /// [`ProgressCell`](wlac_telemetry::ProgressCell) so observers can watch
+    /// a long check in flight. Publication is lock-free and alloc-free (a
+    /// seqlock of pre-allocated atomics), the disabled default costs one
+    /// branch per throttled publication site, and a differential test proves
+    /// probed and unprobed runs are byte-identical in verdicts and every
+    /// counter. Runtime wiring, ignored by equality comparisons.
     pub progress: ProgressHandle,
 }
 
-// `cancel`, `trace` and `trace_sink` are runtime/observability wiring, not
-// configuration: comparisons ignore them (tracing cannot change a verdict).
+// `cancel`, `trace`, `faults`, `recorder` and `progress` are
+// runtime/observability wiring, not configuration: comparisons ignore them
+// (tracing cannot change a verdict).
 // The exhaustive destructuring (no `..`) makes adding a field without
 // deciding its equality role a compile error.
 impl PartialEq for CheckerOptions {
@@ -273,7 +206,6 @@ impl PartialEq for CheckerOptions {
             nonlinear_enumeration_limit,
             cancel: _,
             trace: _,
-            trace_sink: _,
             faults: _,
             recorder: _,
             progress: _,
@@ -313,7 +245,6 @@ impl CheckerOptions {
             nonlinear_enumeration_limit: 256,
             cancel: CancelToken::new(),
             trace: false,
-            trace_sink: TraceSink::disabled(),
             faults: FaultPlan::disabled(),
             recorder: RecorderHandle::disabled(),
             progress: ProgressHandle::disabled(),
@@ -335,13 +266,6 @@ impl CheckerOptions {
         self
     }
 
-    /// Enables phase-attributed timing and routes span events to `sink`.
-    pub fn with_trace(mut self, sink: TraceSink) -> Self {
-        self.trace = true;
-        self.trace_sink = sink;
-        self
-    }
-
     /// Arms a fault-injection plan (chaos testing; the default plan is
     /// disabled and free).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
@@ -349,8 +273,9 @@ impl CheckerOptions {
         self
     }
 
-    /// Routes always-on flight-recorder events (search entry/exit, bound
-    /// advances) into `recorder`; the handle's job id stamps every event.
+    /// Routes flight-recorder events (search entry/exit, bound advances, and
+    /// per-decision events when tracing) into `recorder`; the handle's job
+    /// id stamps every event.
     pub fn with_recorder(mut self, recorder: RecorderHandle) -> Self {
         self.recorder = recorder;
         self
@@ -402,29 +327,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_wiring_does_not_affect_option_equality() {
+    fn trace_and_recorder_do_not_affect_option_equality() {
         use std::sync::Arc;
-        let traced = CheckerOptions::new().with_trace(TraceSink::to(Arc::new(Tracer::new(16))));
-        assert!(traced.trace);
-        assert!(traced.trace_sink.is_active());
+        use wlac_telemetry::FlightRecorder;
+        let traced = CheckerOptions {
+            trace: true,
+            ..CheckerOptions::new()
+        }
+        .with_recorder(RecorderHandle::to(Arc::new(FlightRecorder::new(16))));
+        assert!(traced.recorder.is_active());
         assert_eq!(traced, CheckerOptions::new());
-        assert!(!TraceSink::disabled().is_active());
-        assert!(format!("{:?}", traced.trace_sink).contains("true"));
-    }
-
-    #[test]
-    fn inactive_sink_swallows_events() {
-        let sink = TraceSink::disabled();
-        let span = sink.span_start("search", SpanId::ROOT);
-        assert_eq!(span, SpanId::ROOT);
-        sink.event("decision", span, 1);
-        sink.span_end(span, "search");
-        let tracer = Arc::new(Tracer::new(8));
-        let sink = TraceSink::to(tracer.clone());
-        let span = sink.span_start("search", SpanId::ROOT);
-        sink.event("decision", span, 1);
-        sink.span_end(span, "search");
-        assert_eq!(tracer.events().len(), 3);
+        assert!(!CheckerOptions::new().recorder.is_active());
     }
 
     #[test]

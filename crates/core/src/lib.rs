@@ -63,7 +63,7 @@ pub mod property;
 
 pub use assignment::Conflict;
 pub use checker::{AssertionChecker, CheckReport, CheckResult};
-pub use config::{CancelToken, CheckerOptions, TraceSink};
+pub use config::{CancelToken, CheckerOptions};
 pub use datapath::DatapathFacts;
 pub use estg::Estg;
 pub use implication::{ImplicationEngine, ImplicationStats};

@@ -44,7 +44,7 @@ use crate::stats::CheckStats;
 use std::time::Instant;
 use wlac_bv::{Bv, Bv3, Tv};
 use wlac_netlist::{NetId, Netlist};
-use wlac_telemetry::{RecorderKind, RecorderLayer, SpanId};
+use wlac_telemetry::{RecorderKind, RecorderLayer};
 
 /// Outcome of one justification run over an unrolled circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,6 +93,16 @@ impl PhaseClock {
             *bucket += now.duration_since(last).as_nanos() as u64;
             self.last = Some(now);
         }
+    }
+}
+
+/// Records one per-decision event of a traced run. The untraced default
+/// emits none, so an always-on recorder (the server's) sees only the coarse
+/// lifecycle events and the hot path pays one branch.
+#[inline]
+fn trace_event(options: &CheckerOptions, kind: RecorderKind, p0: u64, p1: u64) {
+    if options.trace {
+        options.recorder.record(RecorderLayer::Core, kind, p0, p1);
     }
 }
 
@@ -223,14 +233,6 @@ impl SearchContext {
         deadline: Instant,
         stats: &mut CheckStats,
     ) -> SearchOutcome {
-        // The span wraps the whole run; per-decision events nest under it.
-        // Both are inert unless tracing is on, keeping the default path
-        // byte-identical in behaviour and allocation profile.
-        let span = if options.trace {
-            options.trace_sink.span_start("search", SpanId::ROOT)
-        } else {
-            SpanId::ROOT
-        };
         options.recorder.record(
             RecorderLayer::Core,
             RecorderKind::Start,
@@ -246,11 +248,7 @@ impl SearchContext {
             facts,
             deadline,
             stats,
-            span,
         );
-        if options.trace {
-            options.trace_sink.span_end(span, "search");
-        }
         options.recorder.record(
             RecorderLayer::Core,
             RecorderKind::End,
@@ -269,8 +267,8 @@ impl SearchContext {
         outcome
     }
 
-    /// The search loop proper; `span` is the enclosing trace span (only used
-    /// when `options.trace` is set).
+    /// The search loop proper. Per-decision events reach the recorder only
+    /// while `options.trace` is set (see [`trace_event`]).
     #[allow(clippy::too_many_arguments)]
     fn run_search(
         &mut self,
@@ -282,7 +280,6 @@ impl SearchContext {
         mut facts: Option<&mut DatapathFacts>,
         deadline: Instant,
         stats: &mut CheckStats,
-        span: SpanId,
     ) -> SearchOutcome {
         debug_assert_eq!(
             self.asg.len(),
@@ -408,18 +405,17 @@ impl SearchContext {
                 }
                 match outcome {
                     DatapathOutcome::Consistent(values) => {
-                        if options.trace {
-                            options.trace_sink.event("sat_leaf", span, stats.decisions);
-                        }
+                        trace_event(options, RecorderKind::SatLeaf, stats.decisions, 0);
                         return SearchOutcome::Sat(values);
                     }
                     DatapathOutcome::Infeasible(len) => {
                         stats.conflicts += 1;
-                        if options.trace {
-                            options
-                                .trace_sink
-                                .event("datapath_infeasible", span, stats.decisions);
-                        }
+                        trace_event(
+                            options,
+                            RecorderKind::DatapathInfeasible,
+                            stats.decisions,
+                            0,
+                        );
                         // Backjump: decisions taken at or past trail position
                         // `len` set none of the refuted island's values, so
                         // neither of their branches can revive it.
@@ -434,11 +430,7 @@ impl SearchContext {
                 }
                 let exhausted = !self.backtrack(netlist, estg, stats);
                 clock.tick(&mut stats.phases.backtrack);
-                if options.trace {
-                    options
-                        .trace_sink
-                        .event("backtrack", span, self.stack.len() as u64);
-                }
+                trace_event(options, RecorderKind::Backtrack, self.stack.len() as u64, 0);
                 if exhausted {
                     return match inconclusive {
                         Some(reason) => SearchOutcome::Inconclusive(reason),
@@ -452,11 +444,12 @@ impl SearchContext {
             let (net, value) = self.pick_decision(netlist, options, goal, estg);
             stats.decisions += 1;
             clock.tick(&mut stats.phases.decision);
-            if options.trace {
-                options
-                    .trace_sink
-                    .event("decision", span, net.index() as u64);
-            }
+            trace_event(
+                options,
+                RecorderKind::Decision,
+                net.index() as u64,
+                stats.decisions,
+            );
             let mark = self.asg.mark();
             if self.assign(netlist, net, value, stats) {
                 clock.tick(&mut stats.phases.implication);
@@ -473,11 +466,7 @@ impl SearchContext {
                 self.asg.backtrack_to(mark);
                 stats.conflicts += 1;
                 stats.backtracks += 1;
-                if options.trace {
-                    options
-                        .trace_sink
-                        .event("conflict", span, net.index() as u64);
-                }
+                trace_event(options, RecorderKind::Conflict, net.index() as u64, 0);
                 if self.assign(netlist, net, !value, stats) {
                     clock.tick(&mut stats.phases.implication);
                     self.stack.push(Decision {
@@ -493,11 +482,7 @@ impl SearchContext {
                     stats.conflicts += 1;
                     let exhausted = !self.backtrack(netlist, estg, stats);
                     clock.tick(&mut stats.phases.backtrack);
-                    if options.trace {
-                        options
-                            .trace_sink
-                            .event("backtrack", span, self.stack.len() as u64);
-                    }
+                    trace_event(options, RecorderKind::Backtrack, self.stack.len() as u64, 0);
                     if exhausted {
                         return match inconclusive {
                             Some(reason) => SearchOutcome::Inconclusive(reason),

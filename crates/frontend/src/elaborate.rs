@@ -9,6 +9,7 @@
 
 use crate::ast::*;
 use crate::error::FrontendError;
+use crate::parser::{MAX_HEIGHT, MAX_NESTING};
 use std::collections::{BTreeMap, HashMap};
 use wlac_bv::Bv;
 use wlac_netlist::{GateId, GateKind, NetId, Netlist};
@@ -163,7 +164,7 @@ impl<'a> Elaborator<'a> {
                 assign.target
             )));
         }
-        let value = self.expr(&assign.expr)?;
+        let value = self.expr(&assign.expr, 0)?;
         let value = self.coerce(value, target.width);
         self.netlist
             .add_gate(GateKind::Buf, vec![value], target.net)
@@ -181,7 +182,7 @@ impl<'a> Elaborator<'a> {
             .filter(|(_, s)| s.is_reg)
             .map(|(name, s)| (name.clone(), s.net))
             .collect();
-        self.apply_statements(&block.body, &mut current)?;
+        self.apply_statements(&block.body, &mut current, 0)?;
         for (name, next) in current {
             let signal = self.signals[&name];
             if next != signal.net {
@@ -192,11 +193,19 @@ impl<'a> Elaborator<'a> {
         Ok(())
     }
 
+    /// Applies `statements` at `if`-nesting `depth` (bounded like the
+    /// parser's, so a hand-built AST cannot overflow the stack either).
     fn apply_statements(
         &mut self,
         statements: &[Statement],
         current: &mut BTreeMap<String, NetId>,
+        depth: usize,
     ) -> Result<(), FrontendError> {
+        if depth > MAX_NESTING {
+            return Err(self.error(format!(
+                "statements nested deeper than {MAX_NESTING} levels"
+            )));
+        }
         for statement in statements {
             match statement {
                 Statement::NonBlocking { target, expr } => {
@@ -206,7 +215,7 @@ impl<'a> Elaborator<'a> {
                             self.error(format!("non-blocking assignment to non-reg `{target}`"))
                         );
                     }
-                    let value = self.expr(expr)?;
+                    let value = self.expr(expr, 0)?;
                     let value = self.coerce(value, signal.width);
                     current.insert(target.clone(), value);
                 }
@@ -215,12 +224,12 @@ impl<'a> Elaborator<'a> {
                     then_body,
                     else_body,
                 } => {
-                    let cond = self.expr(condition)?;
+                    let cond = self.expr(condition, 0)?;
                     let cond = self.bool_net(cond);
                     let mut then_map = current.clone();
                     let mut else_map = current.clone();
-                    self.apply_statements(then_body, &mut then_map)?;
-                    self.apply_statements(else_body, &mut else_map)?;
+                    self.apply_statements(then_body, &mut then_map, depth + 1)?;
+                    self.apply_statements(else_body, &mut else_map, depth + 1)?;
                     for (name, base) in current.iter_mut() {
                         let t = then_map[name];
                         let e = else_map[name];
@@ -255,7 +264,13 @@ impl<'a> Elaborator<'a> {
         }
     }
 
-    fn expr(&mut self, expr: &Expr) -> Result<NetId, FrontendError> {
+    /// Elaborates `expr`, found `depth` levels below the root of its
+    /// expression (bounded like the parser's tree height).
+    fn expr(&mut self, expr: &Expr, depth: usize) -> Result<NetId, FrontendError> {
+        if depth >= MAX_HEIGHT {
+            return Err(self.error(format!("expression nested deeper than {MAX_HEIGHT} levels")));
+        }
+        let depth = depth + 1;
         match expr {
             Expr::Identifier(name) => Ok(self.lookup(name)?.net),
             Expr::Literal { width, value } => Ok(self
@@ -274,7 +289,7 @@ impl<'a> Elaborator<'a> {
             Expr::Concat(parts) => {
                 let mut nets = Vec::with_capacity(parts.len());
                 for part in parts {
-                    nets.push(self.expr(part)?);
+                    nets.push(self.expr(part, depth)?);
                 }
                 let mut iter = nets.into_iter();
                 let mut acc = iter
@@ -286,7 +301,7 @@ impl<'a> Elaborator<'a> {
                 Ok(acc)
             }
             Expr::Unary { op, operand } => {
-                let value = self.expr(operand)?;
+                let value = self.expr(operand, depth)?;
                 Ok(match op {
                     UnaryOp::Not => self.netlist.not(value),
                     UnaryOp::LogicalNot => {
@@ -299,8 +314,8 @@ impl<'a> Elaborator<'a> {
                 })
             }
             Expr::Binary { op, left, right } => {
-                let l = self.expr(left)?;
-                let r = self.expr(right)?;
+                let l = self.expr(left, depth)?;
+                let r = self.expr(right, depth)?;
                 self.binary(*op, l, r)
             }
             Expr::Conditional {
@@ -308,10 +323,10 @@ impl<'a> Elaborator<'a> {
                 then_value,
                 else_value,
             } => {
-                let cond = self.expr(condition)?;
+                let cond = self.expr(condition, depth)?;
                 let cond = self.bool_net(cond);
-                let t = self.expr(then_value)?;
-                let e = self.expr(else_value)?;
+                let t = self.expr(then_value, depth)?;
+                let e = self.expr(else_value, depth)?;
                 let width = self.netlist.net_width(t).max(self.netlist.net_width(e));
                 let t = self.coerce(t, width);
                 let e = self.coerce(e, width);
@@ -559,5 +574,95 @@ mod tests {
             assert_eq!(again.inputs(), first.inputs());
             assert_eq!(again.outputs(), first.outputs());
         }
+    }
+
+    /// Compiles on a thread with the 2 MiB stack the server's connection
+    /// threads get; a stack overflow would abort the whole test binary.
+    fn compile_on_connection_stack(source: String) -> Result<Netlist, FrontendError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || compile(&source))
+            .expect("spawn")
+            .join()
+            .expect("compile returns")
+    }
+
+    /// `assign y = <open × depth> a <close × depth>;`
+    fn nested_assign(depth: usize, open: &str, close: &str) -> String {
+        format!(
+            "module deep(input a, input b, output y);\n  assign y = {}a{};\nendmodule\n",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    /// An always block whose `if` statements nest `depth` deep.
+    fn nested_ifs(depth: usize) -> String {
+        format!(
+            "module deep(input clk, input a, output y);\n  reg q;\n  \
+             always @(posedge clk) {}q <= a;\n  assign y = q;\nendmodule\n",
+            "if (a) ".repeat(depth)
+        )
+    }
+
+    /// Every nesting form at `depth`: parentheses, unary operators, `?:` in
+    /// either branch, concatenations and `if` statements.
+    fn every_form(depth: usize) -> Vec<String> {
+        vec![
+            nested_assign(depth, "(", ")"),
+            nested_assign(depth, "~", ""),
+            nested_assign(depth, "b ? ", " : a"),
+            nested_assign(depth, "b ? a : ", ""),
+            nested_assign(depth, "{", "}"),
+            nested_ifs(depth),
+        ]
+    }
+
+    fn assert_refused(source: String) {
+        let err = compile_on_connection_stack(source).expect_err("refused");
+        assert!(err.to_string().contains("nested deeper than"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for source in every_form(1000) {
+            assert_refused(source);
+        }
+        // A binary chain parses in a loop, but its tree is as tall as the
+        // chain is long; chains inside parentheses grow the tree faster
+        // than the descent nests.
+        assert_refused(nested_assign(MAX_HEIGHT + 1, "a + ", ""));
+        assert_refused(nested_assign(
+            MAX_NESTING,
+            "(",
+            &format!("{})", " + a".repeat(10)),
+        ));
+    }
+
+    #[test]
+    fn nesting_up_to_the_limits_compiles() {
+        for source in every_form(MAX_NESTING - 1) {
+            compile_on_connection_stack(source).expect("within the bound");
+        }
+        compile_on_connection_stack(nested_assign(MAX_HEIGHT - 1, "a + ", ""))
+            .expect("within the bound");
+    }
+
+    #[test]
+    fn elaboration_bounds_a_hand_built_tree() {
+        let mut expr = Expr::Identifier("a".into());
+        for _ in 0..MAX_HEIGHT {
+            expr = Expr::Unary {
+                op: UnaryOp::Not,
+                operand: Box::new(expr),
+            };
+        }
+        let mut module = crate::parser::parse_module(
+            "module deep(input a, output y);\n  assign y = a;\nendmodule\n",
+        )
+        .expect("parses");
+        module.assigns[0].expr = expr;
+        let err = elaborate(&module).expect_err("too deep");
+        assert!(err.to_string().contains("nested deeper than"), "{err}");
     }
 }

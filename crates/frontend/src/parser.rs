@@ -172,13 +172,38 @@ impl<'a> Lexer<'a> {
 /// Returns a [`FrontendError`] describing the first syntax error.
 pub fn parse_module(source: &str) -> Result<Module, FrontendError> {
     let tokens = Lexer::new(source).tokenize()?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    };
     parser.module()
 }
+
+/// Nesting bound of the recursive descent: one level per open nesting form
+/// — a parenthesis, a unary operator, a `?:` branch, a concatenation, an
+/// `if` body. Source nested deeper is hostile, not a design. A parenthesis
+/// costs the descent a frame per precedence level (about 6 KiB of stack),
+/// so this bound keeps parsing inside the 2 MiB stack of a spawned thread
+/// (the server's connection threads) with room to spare.
+pub(crate) const MAX_NESTING: usize = 128;
+
+/// Height bound of an expression tree. A binary chain `a + b + … + z`
+/// parses in a loop but nests its left operand one level deeper per
+/// operator, and elaborating or dropping the tree recurses that deep (a
+/// few hundred bytes of stack a level).
+pub(crate) const MAX_HEIGHT: usize = 1024;
 
 struct Parser {
     tokens: Vec<(Token, usize)>,
     pos: usize,
+    /// Open nesting forms around the current token, at most
+    /// [`MAX_NESTING`].
+    depth: usize,
+    /// Height of the expression tree the last expression parser returned,
+    /// at most [`MAX_HEIGHT`].
+    height: usize,
 }
 
 impl Parser {
@@ -191,6 +216,33 @@ impl Parser {
 
     fn error(&self, message: impl Into<String>) -> FrontendError {
         FrontendError::new(message, self.line())
+    }
+
+    /// Runs `parse` one nesting level deeper; fails past [`MAX_NESTING`].
+    /// (An error abandons the whole parse, so it need not restore `depth`.)
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("source nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self)?;
+        self.depth -= 1;
+        Ok(parsed)
+    }
+
+    /// Returns `expr`, whose tree is `height` tall; fails past
+    /// [`MAX_HEIGHT`].
+    fn node(&mut self, height: usize, expr: Expr) -> Result<Expr, FrontendError> {
+        if height > MAX_HEIGHT {
+            return Err(self.error(format!(
+                "expression tree nested deeper than {MAX_HEIGHT} levels"
+            )));
+        }
+        self.height = height;
+        Ok(expr)
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -389,9 +441,9 @@ impl Parser {
             self.expect_symbol("(")?;
             let condition = self.expression()?;
             self.expect_symbol(")")?;
-            let then_body = self.statement_block()?;
+            let then_body = self.nested(Self::statement_block)?;
             let else_body = if self.eat_keyword("else") {
-                self.statement_block()?
+                self.nested(Self::statement_block)?
             } else {
                 Vec::new()
             };
@@ -414,15 +466,21 @@ impl Parser {
 
     fn conditional(&mut self) -> Result<Expr, FrontendError> {
         let condition = self.logical_or()?;
+        let condition_height = self.height;
         if self.eat_symbol("?") {
-            let then_value = self.expression()?;
+            let then_value = self.nested(Self::expression)?;
+            let then_height = self.height;
             self.expect_symbol(":")?;
-            let else_value = self.conditional()?;
-            Ok(Expr::Conditional {
-                condition: Box::new(condition),
-                then_value: Box::new(then_value),
-                else_value: Box::new(else_value),
-            })
+            let else_value = self.nested(Self::conditional)?;
+            let height = condition_height.max(then_height).max(self.height) + 1;
+            self.node(
+                height,
+                Expr::Conditional {
+                    condition: Box::new(condition),
+                    then_value: Box::new(then_value),
+                    else_value: Box::new(else_value),
+                },
+            )
         } else {
             Ok(condition)
         }
@@ -438,12 +496,18 @@ impl Parser {
             for (sym, op) in ops {
                 if matches!(self.peek(), Some(Token::Symbol(s)) if s == sym) {
                     self.pos += 1;
+                    let left_height = self.height;
                     let right = next(self)?;
-                    left = Expr::Binary {
-                        op: *op,
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    };
+                    // Each operator nests the chain so far one level deeper.
+                    let height = left_height.max(self.height) + 1;
+                    left = self.node(
+                        height,
+                        Expr::Binary {
+                            op: *op,
+                            left: Box::new(left),
+                            right: Box::new(right),
+                        },
+                    )?;
                     continue 'outer;
                 }
             }
@@ -520,23 +584,28 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let operand = self.unary()?;
-            return Ok(Expr::Unary {
-                op,
-                operand: Box::new(operand),
-            });
+            let operand = self.nested(Self::unary)?;
+            return self.node(
+                self.height + 1,
+                Expr::Unary {
+                    op,
+                    operand: Box::new(operand),
+                },
+            );
         }
         self.primary()
     }
 
     fn primary(&mut self) -> Result<Expr, FrontendError> {
         match self.next() {
-            Some(Token::SizedLiteral { width, value }) => Ok(Expr::Literal { width, value }),
+            Some(Token::SizedLiteral { width, value }) => {
+                self.node(1, Expr::Literal { width, value })
+            }
             Some(Token::Number(value)) => {
                 // Unsized decimal: use the minimal width (at least 1 bit), as
                 // a pragmatic approximation of Verilog's 32-bit default.
                 let width = (64 - value.leading_zeros() as usize).max(1);
-                Ok(Expr::Literal { width, value })
+                self.node(1, Expr::Literal { width, value })
             }
             Some(Token::Ident(name)) => {
                 if self.eat_symbol("[") {
@@ -547,24 +616,26 @@ impl Parser {
                         high
                     };
                     self.expect_symbol("]")?;
-                    Ok(Expr::Select { name, high, low })
+                    self.node(1, Expr::Select { name, high, low })
                 } else {
-                    Ok(Expr::Identifier(name))
+                    self.node(1, Expr::Identifier(name))
                 }
             }
             Some(Token::Symbol("(")) => {
-                let inner = self.expression()?;
+                let inner = self.nested(Self::expression)?;
                 self.expect_symbol(")")?;
                 Ok(inner)
             }
-            Some(Token::Symbol("{")) => {
-                let mut parts = vec![self.expression()?];
-                while self.eat_symbol(",") {
-                    parts.push(self.expression()?);
+            Some(Token::Symbol("{")) => self.nested(|this| {
+                let mut parts = vec![this.expression()?];
+                let mut height = this.height;
+                while this.eat_symbol(",") {
+                    parts.push(this.expression()?);
+                    height = height.max(this.height);
                 }
-                self.expect_symbol("}")?;
-                Ok(Expr::Concat(parts))
-            }
+                this.expect_symbol("}")?;
+                this.node(height + 1, Expr::Concat(parts))
+            }),
             other => Err(self.error(format!("unexpected token {other:?} in expression"))),
         }
     }

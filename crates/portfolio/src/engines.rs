@@ -114,70 +114,39 @@ pub struct EngineHarvest {
     pub knowledge: Option<SearchKnowledge>,
 }
 
-/// Runs `engine` on `verification`, polling `cancel` cooperatively.
+/// Runs `engine` on `verification` cold and unobserved, polling `cancel`
+/// cooperatively.
 pub fn run_engine(
     engine: Engine,
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
 ) -> EngineRun {
-    run_engine_seeded(engine, verification, config, cancel, None).0
-}
-
-/// Like [`run_engine`], but warm-started: `warm` seeds the SAT BMC engine
-/// with replayed design-valid clauses and the ATPG engine with conflict
-/// cubes and datapath facts, and the run's own learning comes back in the
-/// [`EngineHarvest`]. Passing `Some(&WarmStart::new())` runs cold but still
-/// harvests.
-pub fn run_engine_seeded(
-    engine: Engine,
-    verification: &Verification,
-    config: &PortfolioConfig,
-    cancel: &CancelToken,
-    warm: Option<&WarmStart>,
-) -> (EngineRun, EngineHarvest) {
-    run_engine_observed(
-        engine,
-        verification,
-        config,
-        cancel,
-        warm,
-        &RecorderHandle::disabled(),
-    )
-}
-
-/// Like [`run_engine_seeded`], but threads a flight-recorder handle into the
-/// ATPG engine's checker options so core search events (entry/exit, bound
-/// advances) carry the owning job's id. The other engines don't run the core
-/// search; their lifecycle is visible through the race-level events the
-/// portfolio supervisor emits.
-pub fn run_engine_observed(
-    engine: Engine,
-    verification: &Verification,
-    config: &PortfolioConfig,
-    cancel: &CancelToken,
-    warm: Option<&WarmStart>,
-    recorder: &RecorderHandle,
-) -> (EngineRun, EngineHarvest) {
     run_engine_probed(
         engine,
         verification,
         config,
         cancel,
-        warm,
-        recorder,
+        None,
+        &RecorderHandle::disabled(),
         &ProgressHandle::disabled(),
     )
+    .0
 }
 
-/// Like [`run_engine_observed`], but also threads a live-progress handle
-/// into the ATPG engine's checker options, so its core search publishes
-/// bound advances and effort counters into the race's progress cell while
-/// still running. The SAT and simulation engines keep no incremental
-/// counters; their final statistics reach the progress surface through the
-/// race supervisor instead (see `RaceProgress::record_final`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_probed(
+/// The one engine runner behind [`run_engine`] and the race supervisor.
+///
+/// * `warm` seeds the SAT BMC engine with replayed design-valid clauses and
+///   the ATPG engine with conflict cubes and datapath facts; the run's own
+///   learning comes back in the [`EngineHarvest`]. `Some(&WarmStart::new())`
+///   runs cold but still harvests.
+/// * `recorder` and `progress` reach the ATPG engine's checker options, so
+///   its core search events carry the owning job's id and its bound
+///   advances and effort counters stream into the race's progress cell. The
+///   SAT and simulation engines do not run the core search; their lifecycle
+///   is visible through the race-level events and final statistics the
+///   supervisor records.
+pub(crate) fn run_engine_probed(
     engine: Engine,
     verification: &Verification,
     config: &PortfolioConfig,

@@ -51,10 +51,7 @@ mod verdict;
 mod warm;
 
 pub use config::PortfolioConfig;
-pub use engines::{
-    run_engine, run_engine_observed, run_engine_probed, run_engine_seeded, Engine, EngineHarvest,
-    EngineRun, EngineStats,
-};
+pub use engines::{run_engine, Engine, EngineHarvest, EngineRun, EngineStats};
 pub use predictor::{predict_engines, EngineHistory, NetlistFeatures};
 pub use progress::RaceProgress;
 pub use verdict::Verdict;
@@ -67,34 +64,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 use wlac_atpg::{CancelToken, Verification};
 use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer};
-
-/// What happened at one point of an engine race, for the
-/// [`PortfolioReport::timeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceEventKind {
-    /// An engine thread was dispatched.
-    Spawned,
-    /// An engine delivered its verdict to the supervisor.
-    Answered {
-        /// `true` when the verdict was definitive (could decide the race).
-        definitive: bool,
-    },
-    /// The supervisor told the remaining engines to stop.
-    CancelIssued,
-}
-
-/// One entry of the race timeline: *when* (relative to dispatch) *which*
-/// engine did *what*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RaceEvent {
-    /// Offset from race dispatch.
-    pub at: Duration,
-    /// The engine concerned; `None` for supervisor-wide events
-    /// ([`RaceEventKind::CancelIssued`]).
-    pub engine: Option<Engine>,
-    /// What happened.
-    pub kind: RaceEventKind,
-}
 
 /// The result of checking one property with the portfolio.
 #[derive(Debug, Clone)]
@@ -114,9 +83,6 @@ pub struct PortfolioReport {
     /// Human-readable descriptions of cross-engine contradictions. Empty
     /// when all definitive verdicts agree.
     pub disagreements: Vec<String>,
-    /// The race as it unfolded: engine spawns, answers in arrival order and
-    /// the cancellation point, all timestamped relative to dispatch.
-    pub timeline: Vec<RaceEvent>,
 }
 
 impl PortfolioReport {
@@ -171,7 +137,6 @@ impl fmt::Display for PortfolioReport {
 pub struct Portfolio {
     config: PortfolioConfig,
     metrics: Option<Arc<MetricsRegistry>>,
-    recorder: RecorderHandle,
 }
 
 impl Portfolio {
@@ -180,7 +145,6 @@ impl Portfolio {
         Portfolio {
             config,
             metrics: None,
-            recorder: RecorderHandle::disabled(),
         }
     }
 
@@ -191,15 +155,6 @@ impl Portfolio {
     /// [`PortfolioConfig`].
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Emits race lifecycle events (start, spawns, answers, cancel, end)
-    /// into the always-on flight recorder. Like metrics, purely
-    /// observational; [`Portfolio::race_warm_recorded`] overrides this base
-    /// handle per job so events carry the owning job's id.
-    pub fn with_recorder(mut self, recorder: RecorderHandle) -> Self {
-        self.recorder = recorder;
         self
     }
 
@@ -216,54 +171,39 @@ impl Portfolio {
     /// Races every configured engine on one property; the first definitive
     /// verdict wins and the losing engines are cancelled cooperatively.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, true, None, &self.recorder, None)
+        self.run_portfolio(verification, true, None, &RecorderHandle::disabled(), None)
             .0
     }
 
     /// Runs every configured engine to completion (no cancellation) and
     /// cross-validates all verdicts against each other.
     pub fn check_all(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, false, None, &self.recorder, None)
+        self.run_portfolio(verification, false, None, &RecorderHandle::disabled(), None)
             .0
     }
 
-    /// Like [`Portfolio::race`], but warm-started from a knowledge base:
-    /// `warm` seeds the engines (replayed CDCL clauses into BMC, conflict
-    /// cubes and datapath facts into ATPG) and may narrow the engine list to
-    /// the scheduling predictor's choice. The returned [`Harvest`] carries
-    /// everything this race learned, for merging back into the base.
+    /// Like [`Portfolio::race`], but warm-started from a knowledge base and
+    /// observed:
     ///
-    /// Seeds must come from runs on a structurally identical netlist — the
-    /// knowledge-base owner enforces that by keying on a design hash.
+    /// * `warm` seeds the engines (replayed CDCL clauses into BMC, conflict
+    ///   cubes and datapath facts into ATPG) and may narrow the engine list
+    ///   to the scheduling predictor's choice. The returned [`Harvest`]
+    ///   carries everything this race learned, for merging back into the
+    ///   base. Seeds must come from runs on a structurally identical netlist
+    ///   — the knowledge-base owner enforces that by keying on a design hash.
+    /// * Every flight-recorder event this race (and the core searches under
+    ///   it) emits goes through `recorder` — the per-job handle the
+    ///   verification service derives, so a remote `events` tail can be
+    ///   filtered down to one job: race start, one spawn per engine, one
+    ///   answer per engine, the cancel of the losers, race end.
+    /// * The race publishes live progress into `progress`: the ATPG engine
+    ///   streams bound advances and effort counters from inside its search,
+    ///   and the supervisor stores every engine's final statistics the
+    ///   moment it answers.
+    ///
+    /// Observation is lock-free, alloc-free and never influences scheduling
+    /// or verdicts.
     pub fn race_warm(
-        &self,
-        verification: &Verification,
-        warm: &WarmStart,
-    ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(verification, true, Some(warm), &self.recorder, None)
-    }
-
-    /// Like [`Portfolio::race_warm`], but every flight-recorder event this
-    /// race (and the core searches under it) emits is stamped through
-    /// `recorder` — the per-job handle the verification service derives, so
-    /// a remote `events` tail can be filtered down to one job.
-    pub fn race_warm_recorded(
-        &self,
-        verification: &Verification,
-        warm: &WarmStart,
-        recorder: &RecorderHandle,
-    ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(verification, true, Some(warm), recorder, None)
-    }
-
-    /// Like [`Portfolio::race_warm_recorded`], but the race also publishes
-    /// live progress into `progress`: the ATPG engine streams bound advances
-    /// and effort counters from inside its search, and the supervisor stores
-    /// every engine's final statistics the moment it answers. Observers
-    /// snapshot `progress` concurrently (the service's progress accessors
-    /// feed the server's `progress`/`subscribe` ops from it); publication is
-    /// lock-free, alloc-free and never influences scheduling or verdicts.
-    pub fn race_warm_probed(
         &self,
         verification: &Verification,
         warm: &WarmStart,
@@ -334,7 +274,6 @@ impl Portfolio {
         let mut runs: Vec<EngineRun> = Vec::with_capacity(engines.len());
         let mut harvest = Harvest::default();
         let mut winner: Option<usize> = None;
-        let mut timeline: Vec<RaceEvent> = Vec::with_capacity(2 * engines.len() + 1);
         let mut first_definitive_at: Option<Duration> = None;
         let mut win_margin: Option<Duration> = None;
         recorder.record(
@@ -351,11 +290,6 @@ impl Portfolio {
                 let tx = tx.clone();
                 let token = token.clone();
                 let config = &self.config;
-                timeline.push(RaceEvent {
-                    at: start.elapsed(),
-                    engine: Some(engine),
-                    kind: RaceEventKind::Spawned,
-                });
                 recorder.record(
                     RecorderLayer::Portfolio,
                     RecorderKind::Spawn,
@@ -390,11 +324,6 @@ impl Portfolio {
                 if let Some(progress) = progress {
                     progress.record_final(&run);
                 }
-                timeline.push(RaceEvent {
-                    at,
-                    engine: Some(run.engine),
-                    kind: RaceEventKind::Answered { definitive },
-                });
                 recorder.record(
                     RecorderLayer::Portfolio,
                     RecorderKind::Answer,
@@ -412,11 +341,6 @@ impl Portfolio {
                     winner = Some(runs.len());
                     if cancel_losers {
                         token.cancel();
-                        timeline.push(RaceEvent {
-                            at: start.elapsed(),
-                            engine: None,
-                            kind: RaceEventKind::CancelIssued,
-                        });
                         recorder.record(
                             RecorderLayer::Portfolio,
                             RecorderKind::Cancel,
@@ -475,7 +399,6 @@ impl Portfolio {
             wall_clock: start.elapsed(),
             runs,
             disagreements,
-            timeline,
         };
         if let Some(registry) = &self.metrics {
             record_race_metrics(registry, &report, win_margin);
@@ -686,36 +609,37 @@ mod tests {
     }
 
     #[test]
-    fn race_timeline_orders_spawns_before_answers() {
-        let report = Portfolio::with_defaults().race(&counter(12, 5, "timed"));
-        let spawns = report
-            .timeline
-            .iter()
-            .filter(|e| e.kind == RaceEventKind::Spawned)
-            .count();
-        assert_eq!(spawns, 3, "{:?}", report.timeline);
-        let answers = report
-            .timeline
-            .iter()
-            .filter(|e| matches!(e.kind, RaceEventKind::Answered { .. }))
-            .count();
-        assert_eq!(answers, 3, "{:?}", report.timeline);
-        // Racing mode cancels as soon as someone is definitive.
-        assert!(report
-            .timeline
-            .iter()
-            .any(|e| e.kind == RaceEventKind::CancelIssued));
-        // Timestamps are monotone within the supervisor's view.
-        for pair in report.timeline.windows(2) {
-            assert!(pair[0].at <= pair[1].at, "{:?}", report.timeline);
-        }
-        // Every Answered names an engine; CancelIssued is supervisor-wide.
-        for event in &report.timeline {
-            match event.kind {
-                RaceEventKind::CancelIssued => assert!(event.engine.is_none()),
-                _ => assert!(event.engine.is_some()),
-            }
-        }
+    fn race_events_order_spawns_before_answers() {
+        use wlac_telemetry::FlightRecorder;
+        let recorder = Arc::new(FlightRecorder::new(4096));
+        let (report, _) = Portfolio::with_defaults().race_warm(
+            &counter(12, 5, "timed"),
+            &WarmStart::new(),
+            &RecorderHandle::to(Arc::clone(&recorder)).with_job(9),
+            &RaceProgress::new(),
+        );
+        assert!(report.winner.is_some());
+        let events: Vec<_> = recorder
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.layer == RecorderLayer::Portfolio)
+            .collect();
+        let kinds: Vec<RecorderKind> = events.iter().map(|e| e.kind).collect();
+        let count = |kind: RecorderKind| kinds.iter().filter(|k| **k == kind).count();
+        assert_eq!(count(RecorderKind::Spawn), 3, "{kinds:?}");
+        assert_eq!(count(RecorderKind::Answer), 3, "{kinds:?}");
+        // Racing mode cancels once, as soon as someone is definitive.
+        assert_eq!(count(RecorderKind::Cancel), 1, "{kinds:?}");
+        // The supervisor dispatches every engine before it hears an answer,
+        // and the race ends after all of them.
+        let last_spawn = kinds.iter().rposition(|k| *k == RecorderKind::Spawn);
+        let first_answer = kinds.iter().position(|k| *k == RecorderKind::Answer);
+        assert!(last_spawn < first_answer, "{kinds:?}");
+        assert_eq!(kinds.first(), Some(&RecorderKind::Start));
+        assert_eq!(kinds.last(), Some(&RecorderKind::End));
+        // Sequence numbers order the events; every one carries the job id.
+        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert!(events.iter().all(|e| e.job == 9));
     }
 
     #[test]

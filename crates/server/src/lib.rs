@@ -17,9 +17,10 @@
 //!   attribution, aggregated core search effort, per-op request counters and
 //!   latency histograms). The `metrics` op exposes it as Prometheus text and
 //!   flat JSON; `trace_check` runs one property with search tracing on and
-//!   returns the phase-attributed time breakdown plus span events; requests
-//!   slower than [`ServerConfig::slow_request_threshold`] get a structured
-//!   stderr line. An always-on [`wlac_telemetry::FlightRecorder`] captures
+//!   returns the phase-attributed time breakdown plus the check's
+//!   flight-recorder events (one per decision, conflict and backtrack);
+//!   requests slower than [`ServerConfig::slow_request_threshold`] get a
+//!   structured stderr line. An always-on [`wlac_telemetry::FlightRecorder`] captures
 //!   compact structured events from every layer (`events` tails it
 //!   remotely), every contained fault writes a bounded
 //!   [`PostmortemWriter`] bundle, and `health` answers

@@ -17,7 +17,7 @@ use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wlac_atpg::{
-    AssertionChecker, CheckReport, CheckResult, CheckerOptions, Property, PropertyKind, TraceSink,
+    AssertionChecker, CheckReport, CheckResult, CheckerOptions, Property, PropertyKind,
     Verification,
 };
 use wlac_faultinject::{CondvarExt, FaultPlan, LockExt};
@@ -32,7 +32,7 @@ use wlac_service::{
     VerificationService,
 };
 use wlac_telemetry::{
-    FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer, SpanId, Tracer,
+    FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer,
 };
 
 /// Every op the dispatcher accepts, plus the two catch-all buckets
@@ -347,8 +347,6 @@ struct ServerState {
     /// write into it, the server adds per-op counters and latency
     /// histograms, and the `metrics` op exposes the whole thing.
     metrics: Arc<MetricsRegistry>,
-    /// Server-level tracer: one span per connection, one event per request.
-    tracer: Tracer,
     /// Checker options for on-demand `trace_check` runs (the same options
     /// the service's portfolio gives its ATPG engine).
     checker_options: CheckerOptions,
@@ -474,7 +472,6 @@ impl Server {
             drain_timeout: config.drain_timeout,
             faults: config.faults,
             metrics,
-            tracer: Tracer::new(16_384),
             checker_options,
             slow_request_threshold: config.slow_request_threshold,
             recorder,
@@ -964,7 +961,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
     stream.set_write_timeout(state.write_timeout).ok();
     state.metrics.counter("server_connections_total").inc();
     let conn = state.next_conn.fetch_add(1, Ordering::Relaxed);
-    let connection = state.tracer.span_start("connection", SpanId::ROOT);
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
@@ -987,14 +983,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             let started = Instant::now();
             match subscribe_connection(state, &line, &stream) {
                 SubscribeOutcome::Reject(reply) => {
-                    record_request(
-                        state,
-                        connection,
-                        conn,
-                        "subscribe",
-                        &reply,
-                        started.elapsed(),
-                    );
+                    record_request(state, conn, "subscribe", &reply, started.elapsed());
                     let sent = writer
                         .write_all(format!("{reply}\n").as_bytes())
                         .and_then(|()| writer.flush());
@@ -1003,14 +992,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                     }
                 }
                 SubscribeOutcome::Streamed { summary, close } => {
-                    record_request(
-                        state,
-                        connection,
-                        conn,
-                        "subscribe",
-                        &summary,
-                        started.elapsed(),
-                    );
+                    record_request(state, conn, "subscribe", &summary, started.elapsed());
                     if close {
                         break;
                     }
@@ -1022,7 +1004,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         let started = Instant::now();
         let (reply, op) = dispatch(state, &line);
         let elapsed = started.elapsed();
-        record_request(state, connection, conn, op, &reply, elapsed);
+        record_request(state, conn, op, &reply, elapsed);
         let sent = writer
             .write_all(format!("{reply}\n").as_bytes())
             .and_then(|()| writer.flush());
@@ -1031,7 +1013,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             break;
         }
     }
-    state.tracer.span_end(connection, "connection");
 }
 
 /// `true` when the frame is a `subscribe` request (cheap pre-parse; a frame
@@ -1343,13 +1324,12 @@ fn stream_events(
 }
 
 /// Books one finished request: per-op counter and latency histogram, a
-/// per-code error counter when the reply is a failure, a request event in
-/// the connection span, a Server-layer flight-recorder event, a rolling SLO
-/// sample, and the slow-request log line (carrying the connection id, so a
-/// slow request is attributable to its client).
+/// per-code error counter when the reply is a failure, a Server-layer
+/// flight-recorder event, a rolling SLO sample, and the slow-request log
+/// line (carrying the connection id, so a slow request is attributable to
+/// its client).
 fn record_request(
     state: &ServerState,
-    connection: SpanId,
     conn: u64,
     op: &'static str,
     reply: &Json,
@@ -1374,7 +1354,6 @@ fn record_request(
             .counter(&format!("server_errors_{code}_total"))
             .inc();
     }
-    state.tracer.event(op, connection, nanos);
     // The recorder event stamps the connection id as its job and the op (as
     // its KNOWN_OPS index) plus the wall clock as payload: `events` can tail
     // the request loop without parsing the slow-request log.
@@ -1499,18 +1478,13 @@ fn op_stats(state: &ServerState) -> Json {
 
 /// Pushes the derived observability gauges into the registry so both
 /// exposition paths (`metrics`, `stats`) and every post-mortem bundle see
-/// them: uptime, the tracer's dropped-record count and the flight
-/// recorder's overwrite/recorded counts. Gauges rather than counters
+/// them: uptime and the flight recorder's overwrite/recorded counts. Gauges rather than counters
 /// because they mirror external state instead of accumulating here.
 fn refresh_derived_gauges(state: &ServerState) {
     state
         .metrics
         .gauge("server_uptime_seconds")
         .set(state.started.elapsed().as_secs_f64());
-    state
-        .metrics
-        .gauge("server_trace_dropped_records")
-        .set(state.tracer.dropped() as f64);
     state
         .metrics
         .gauge("server_recorder_overwrites")
@@ -2039,34 +2013,32 @@ fn op_import_knowledge(state: &ServerState, frame: &Json) -> Json {
     ])
 }
 
-/// Encodes one trace event for the wire.
-fn trace_event_to_wire(event: &wlac_telemetry::TraceEvent) -> Json {
-    Json::obj(vec![
-        ("at_ns", Json::num(event.at_nanos)),
-        ("kind", Json::str(event.kind.as_str())),
-        ("name", Json::str(event.name)),
-        ("id", Json::num(event.id)),
-        ("parent", Json::num(event.parent)),
-        ("value", Json::num(event.value)),
-    ])
-}
+/// Ring capacity of a `trace_check` run's private flight recorder.
+const TRACE_CHECK_EVENTS: usize = 8192;
 
 /// On-demand traced check: runs the job once through the paper's ATPG
-/// checker with tracing enabled and returns the phase-attributed time
-/// breakdown plus the span events, instead of just a verdict. The run is
+/// checker with tracing enabled and a private flight recorder, and returns
+/// the phase-attributed time breakdown plus the recorder's events (search
+/// lifecycle, bound advances and one event per decision, conflict,
+/// backtrack and leaf), instead of just a verdict. The run is
 /// deliberately outside the service (no cache, no warm start, single
 /// engine): the point is a reproducible profile of *this* check, not the
 /// fastest answer.
+///
+/// The reply's `events` are the whole ring, so a check deciding more than
+/// its capacity overwrites its oldest events and reports how many in
+/// `events_dropped`.
 fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
     let verification = match parse_job(state, frame, 0) {
         Ok(verification) => verification,
         Err(reply) => return reply,
     };
-    let tracer = Arc::new(Tracer::new(8192));
-    let options = state
-        .checker_options
-        .clone()
-        .with_trace(TraceSink::to(Arc::clone(&tracer)));
+    let recorder = Arc::new(FlightRecorder::new(TRACE_CHECK_EVENTS));
+    let options = CheckerOptions {
+        trace: true,
+        ..state.checker_options.clone()
+    }
+    .with_recorder(RecorderHandle::to(Arc::clone(&recorder)));
     let report: CheckReport = AssertionChecker::new(options).check(&verification);
 
     let mut verdict = vec![("label", Json::str(check_result_label(&report.result)))];
@@ -2112,7 +2084,6 @@ fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
             Json::num(stats.peak_memory_bytes as u64),
         ),
     ]);
-    let events = tracer.events();
     ok_reply(vec![
         ("property", Json::str(report.property)),
         ("verdict", Json::obj(verdict)),
@@ -2124,9 +2095,9 @@ fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
         ("stats", stats_wire),
         (
             "events",
-            Json::Arr(events.iter().map(trace_event_to_wire).collect()),
+            Json::Arr(recorder.snapshot().iter().map(event_to_json).collect()),
         ),
-        ("events_dropped", Json::num(tracer.dropped())),
+        ("events_dropped", Json::num(recorder.overwrites())),
     ])
 }
 

@@ -285,6 +285,29 @@ fn protocol_round_trip_and_errors() {
 }
 
 #[test]
+fn deeply_nested_source_is_refused_and_the_server_lives() {
+    // About 2 KB of Verilog nested 1000 parentheses deep: the frontend's
+    // recursive descent would overflow the connection thread's stack, which
+    // aborts the whole process; it must come back as a compile error.
+    let (addr, handle, _) = start(quick_config());
+    let mut client = Client::connect(addr);
+    let source = format!(
+        "module deep(input a, output y); assign y = {}a{}; endmodule",
+        "(".repeat(1000),
+        ")".repeat(1000)
+    );
+    let frame = Json::obj(vec![
+        ("op", Json::str("register_design")),
+        ("source", Json::str(source)),
+    ]);
+    assert_eq!(client.call_err(&frame.to_string()), "compile_error");
+    client.call(Json::obj(vec![("op", Json::str("ping"))]));
+
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+#[test]
 fn restart_warm_serves_persisted_verdicts() {
     let dir = TempDir::new();
 
@@ -624,7 +647,6 @@ fn health_build_and_uptime_surface_on_a_live_server() {
     assert!(sample(&samples, "server_uptime_seconds").expect("uptime gauge") >= 0.0);
     assert!(sample(&samples, "server_recorder_recorded").expect("recorder gauge") > 0.0);
     assert_eq!(sample(&samples, "server_recorder_overwrites"), Some(0.0));
-    assert_eq!(sample(&samples, "server_trace_dropped_records"), Some(0.0));
 
     client.shutdown();
     handle.join().expect("server thread");
@@ -890,6 +912,32 @@ fn progress_op_reports_server_load_and_batch_state() {
     handle.join().expect("server thread");
 }
 
+/// `ok` fails when `mux(c, x + x, x + y) == 5` and both guards hold: the
+/// search has to decide the control inputs before the datapath answers.
+const GUARDED_V: &str = r#"
+    module guarded(input c, input p, input q, input r, input s,
+                   input [3:0] x, input [3:0] y, output ok);
+      assign ok = !(((c ? x + x : x + y) == 5) && (p | q) && (r | s));
+    endmodule
+"#;
+
+/// Counts a `trace_check` reply's core decision events, next to the
+/// decision count its `stats` report.
+fn decision_events(reply: &Json) -> (u64, u64) {
+    let events = reply.get("events").and_then(Json::as_arr).expect("events");
+    let decision_events = events
+        .iter()
+        .filter(|e| e.get("layer").and_then(Json::as_str) == Some("core"))
+        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("decision"))
+        .count() as u64;
+    let decisions = reply
+        .get("stats")
+        .and_then(|s| s.get("decisions"))
+        .and_then(Json::as_u64)
+        .expect("decisions");
+    (decision_events, decisions)
+}
+
 #[test]
 fn trace_check_profiles_one_property() {
     let (addr, handle, _) = start(quick_config());
@@ -940,15 +988,20 @@ fn trace_check_profiles_one_property() {
         (total_ns - elapsed_ns).abs() <= (elapsed_ns / 10.0).max(1e6),
         "phase sum {total_ns}ns diverges from elapsed {elapsed_ns}ns"
     );
-    // The span events narrate the search.
+    // The recorder events narrate the search: core search starts, bound
+    // advances, and one decision event per decision taken.
     let events = reply.get("events").and_then(Json::as_arr).expect("events");
     assert!(!events.is_empty());
-    let names: Vec<&str> = events
+    let core_kinds: Vec<&str> = events
         .iter()
-        .filter_map(|e| e.get("name").and_then(Json::as_str))
+        .filter(|e| e.get("layer").and_then(Json::as_str) == Some("core"))
+        .filter_map(|e| e.get("kind").and_then(Json::as_str))
         .collect();
-    assert!(names.contains(&"search"), "{names:?}");
-    assert!(names.contains(&"bound"), "{names:?}");
+    assert_eq!(core_kinds.len(), events.len(), "only core events");
+    assert!(core_kinds.contains(&"start"), "{core_kinds:?}");
+    assert!(core_kinds.contains(&"bound"), "{core_kinds:?}");
+    let (events_seen, decisions) = decision_events(&reply);
+    assert_eq!(events_seen, decisions, "one decision event per decision");
     let stats = reply.get("stats").expect("stats object");
     assert!(
         stats
@@ -962,6 +1015,23 @@ fn trace_check_profiles_one_property() {
         Some(0),
         "8192-event ring must not drop on this tiny check"
     );
+
+    // The counter is settled by implication alone; a guarded datapath makes
+    // the search decide, and each decision still shows up once.
+    let guarded = client.call(Json::obj(vec![
+        ("op", Json::str("register_design")),
+        ("source", Json::str(GUARDED_V)),
+    ]));
+    let guarded = guarded.get("design").and_then(Json::as_str).expect("hash");
+    let reply = client.call(Json::obj(vec![
+        ("op", Json::str("trace_check")),
+        ("design", Json::str(guarded)),
+        ("property", Json::obj(vec![("monitor", Json::str("ok"))])),
+    ]));
+    let (events_seen, decisions) = decision_events(&reply);
+    assert!(decisions > 0, "the guards must be decided");
+    assert_eq!(events_seen, decisions, "one decision event per decision");
+    assert_eq!(reply.get("events_dropped").and_then(Json::as_u64), Some(0));
 
     // A trace_check against an unregistered design fails cleanly.
     assert_eq!(

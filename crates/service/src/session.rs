@@ -1356,7 +1356,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         // The per-job handle stamps this job's id into every portfolio- and
         // core-layer event of the race.
         let recorder = shared.config.recorder.with_job(job.job_id);
-        portfolio.race_warm_probed(&job.verification, &warm, &recorder, &running.progress)
+        portfolio.race_warm(&job.verification, &warm, &recorder, &running.progress)
     }));
     let (report, harvest) = match raced {
         Ok(outcome) => outcome,

@@ -2,7 +2,7 @@
 //!
 //! Every layer of the checker — the word-level ATPG decision loop, the
 //! engine portfolio, the verification service and the network server —
-//! reports into the two primitives defined here:
+//! reports into the three primitives defined here:
 //!
 //! * [`MetricsRegistry`] — a name-keyed registry of atomic [`Counter`]s,
 //!   [`Gauge`]s and log-bucketed latency [`Histogram`]s. Handles are
@@ -13,16 +13,12 @@
 //!   registry renders itself as Prometheus-style text and as a flat JSON
 //!   object; `perf_json` and the server's `metrics` op share that code, so
 //!   BENCH numbers and live telemetry cannot diverge in format.
-//! * [`Tracer`] — a hierarchical span/event recorder backed by a bounded
-//!   pre-allocated ring buffer. Names are `&'static str` and payloads are
-//!   plain integers, so emitting an event never allocates; when the ring
-//!   wraps, the oldest events are dropped and counted. Snapshots export as
-//!   JSONL, one event per line.
-//! * [`FlightRecorder`] — the always-on black box: a lock-free, alloc-free
-//!   ring of compact structured events (layer, kind, job id, monotonic
-//!   nanos, two payload words) every layer emits into via a shared
-//!   [`RecorderHandle`], so the last N events of system behavior are always
-//!   reconstructable for a post-mortem dump or a remote `events` tail.
+//! * [`FlightRecorder`] — the one event path: a lock-free, alloc-free ring
+//!   of compact structured events (layer, kind, job id, monotonic nanos, two
+//!   payload words) every layer emits into via a shared [`RecorderHandle`],
+//!   so the last N events of system behavior are always reconstructable for
+//!   a post-mortem dump or a remote `events` tail. A traced check records
+//!   its per-decision events into a private one.
 //! * [`ProgressCell`] — a per-engine seqlock cell the core search publishes
 //!   live effort counters into through a [`ProgressHandle`]; observers
 //!   snapshot it at any moment (the `progress`/`subscribe` ops) without
@@ -34,7 +30,10 @@
 //! # Examples
 //!
 //! ```
-//! use wlac_telemetry::{MetricsRegistry, Tracer, SpanId};
+//! use std::sync::Arc;
+//! use wlac_telemetry::{
+//!     FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer,
+//! };
 //!
 //! let registry = MetricsRegistry::new();
 //! let decisions = registry.counter("core_decisions_total");
@@ -43,11 +42,15 @@
 //! latency.record(1_500);
 //! assert!(registry.render_prometheus().contains("core_decisions_total 1"));
 //!
-//! let tracer = Tracer::new(64);
-//! let span = tracer.span_start("search", SpanId::ROOT);
-//! tracer.event("decision", span, 7);
-//! tracer.span_end(span, "search");
-//! assert_eq!(tracer.events().len(), 3);
+//! let recorder = Arc::new(FlightRecorder::new(64));
+//! let handle = RecorderHandle::to(Arc::clone(&recorder)).with_job(3);
+//! handle.record(RecorderLayer::Core, RecorderKind::Start, 1, 0);
+//! handle.record(RecorderLayer::Core, RecorderKind::Decision, 7, 1);
+//! handle.record(RecorderLayer::Core, RecorderKind::End, 1, 0);
+//! let events = recorder.snapshot();
+//! assert_eq!(events.len(), 3);
+//! assert_eq!(events[1].kind.as_str(), "decision");
+//! assert!(events.iter().all(|e| e.job == 3));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,9 +59,7 @@
 mod metrics;
 mod progress;
 mod recorder;
-mod tracer;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry};
 pub use progress::{ProgressCell, ProgressHandle, ProgressProbe};
 pub use recorder::{FlightEvent, FlightRecorder, RecorderHandle, RecorderKind, RecorderLayer};
-pub use tracer::{SpanId, TraceEvent, TraceEventKind, Tracer};

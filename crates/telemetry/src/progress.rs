@@ -5,11 +5,12 @@
 //!
 //! One [`ProgressCell`] belongs to one engine run: the engine thread is the
 //! only writer, readers are arbitrary. Writes follow the same seqlock
-//! discipline as the flight recorder's slots — bump the stamp to odd, store
-//! the fields, bump the stamp to even — and readers retry until they observe
-//! the same even stamp on both sides of the field reads, so a snapshot is
-//! never torn. Every store and load is a plain relaxed/acquire-release
-//! atomic on a pre-allocated cell: publishing a probe performs **zero heap
+//! discipline as the flight recorder's slots — bump the stamp to odd, fence,
+//! store the fields, bump the stamp to even — and readers retry until they
+//! observe the same even stamp on both sides of the field reads (with an
+//! acquire fence before the re-check), so a snapshot is never torn. Every
+//! store and load is a plain relaxed/acquire-release atomic or fence on a
+//! pre-allocated cell: publishing a probe performs **zero heap
 //! allocations** and takes no locks, which is what lets the steady-state
 //! search path keep its allocation-free contract with probes enabled
 //! (`crates/core/tests/alloc_free.rs` enforces it with a counting
@@ -18,7 +19,7 @@
 //! The disabled default ([`ProgressHandle::disabled`]) costs one branch per
 //! publication site, exactly like [`crate::RecorderHandle`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A point-in-time snapshot of one engine's search effort.
@@ -100,10 +101,14 @@ impl ProgressCell {
         ProgressCell::default()
     }
 
-    /// Opens a write section: readers observing the odd stamp retry.
+    /// Opens a write section: readers observing the odd stamp retry. The
+    /// release fence keeps the field stores that follow from becoming
+    /// visible before the odd stamp; it pairs with the acquire fence in
+    /// [`ProgressCell::snapshot`].
     fn write_begin(&self) -> u64 {
         let stamp = self.stamp.load(Ordering::Relaxed);
-        self.stamp.store(stamp | 1, Ordering::Release);
+        self.stamp.store(stamp | 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         stamp
     }
 
@@ -166,25 +171,30 @@ impl ProgressCell {
         self.write_end(stamp);
     }
 
-    /// Reads a consistent snapshot. Retries while a write is in flight; if
-    /// the writer is pathologically fast the last (possibly torn) read is
-    /// returned after a bounded number of attempts — progress data is
-    /// advisory and a rare torn snapshot only misreports counters for one
-    /// tick, it can never corrupt the cell.
+    /// Reads a consistent snapshot, retrying (spinning, then yielding)
+    /// while a write is in flight or lands under the read. The one writer is
+    /// throttled in the search, so a reader gets through; a snapshot is
+    /// never torn.
     pub fn snapshot(&self) -> ProgressProbe {
-        for _ in 0..64 {
+        let mut attempts = 0u32;
+        loop {
             let before = self.stamp.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
+            if before & 1 == 0 {
+                let probe = self.read_fields();
+                // Pairs with the writer's release fence: a field load that
+                // saw a newer write makes the re-check see its odd stamp.
+                fence(Ordering::Acquire);
+                if self.stamp.load(Ordering::Relaxed) == before {
+                    return probe;
+                }
             }
-            let probe = self.read_fields();
-            let after = self.stamp.load(Ordering::Acquire);
-            if before == after {
-                return probe;
+            if attempts < 64 {
+                attempts += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
             }
         }
-        self.read_fields()
     }
 
     fn read_fields(&self) -> ProgressProbe {

@@ -1,35 +1,45 @@
-//! The always-on flight recorder: a fixed-capacity, lock-free, alloc-free
-//! ring of compact structured events.
+//! The flight recorder: a fixed-capacity, lock-free, alloc-free ring of
+//! compact structured events, and the one event path of the workspace.
 //!
-//! The [`Tracer`](crate::Tracer) is opt-in and allocation-backed — right for
-//! a `trace_check` deep-dive, wrong for "what was the system doing when the
-//! worker died". The [`FlightRecorder`] fills that gap: every layer of the
-//! stack (core search, portfolio races, service workers, persist/journal,
-//! server request loop) emits fixed-size events into one shared ring at all
-//! times, so the last N events are always available for a post-mortem dump
-//! or a remote `events` tail.
+//! Every layer of the stack (core search, portfolio races, service workers,
+//! persist/journal, server request loop) emits fixed-size events into one
+//! shared ring at all times, so the last N events are always available for
+//! a post-mortem dump or a remote `events` tail. A traced check
+//! (`trace_check`) gives its search a private ring of its own and adds the
+//! per-decision kinds ([`RecorderKind::Decision`] and friends) to the same
+//! vocabulary.
 //!
 //! Design constraints, in order:
 //!
-//! * **Never blocks, never allocates.** [`FlightRecorder::record`] is a
-//!   ticket claim (`fetch_add`) plus six relaxed/release stores; there is no
-//!   mutex anywhere on the write path, so it is safe to call from a panicking
-//!   worker, inside the search inner loop, or on the journal fsync path.
+//! * **No locks, no allocation.** [`FlightRecorder::record`] is a ticket
+//!   claim (`fetch_add`) plus stores into a pre-allocated slot; there is no
+//!   mutex anywhere on the write path, so it is safe to call from a
+//!   panicking worker, inside the search inner loop, or on the journal fsync
+//!   path.
 //! * **Overwrite-oldest.** The ring never refuses an event; the write cursor
 //!   wraps and [`FlightRecorder::overwrites`] counts what was lost.
-//! * **Torn reads are detected, not prevented.** Writers stamp each slot
-//!   with a per-slot sequence word (0 while mid-write, the unique ticket + 1
-//!   when complete) in seqlock fashion; [`FlightRecorder::snapshot`]
-//!   re-reads the stamp after decoding and drops any slot that changed under
-//!   it. Under `#![forbid(unsafe_code)]` this is the whole concurrency
-//!   story: no `UnsafeCell`, just atomics and a validation pass.
+//! * **Turn-sequenced slots.** Tickets `t` and `t + capacity` land in the
+//!   same slot. A writer holding ticket `t` waits (spinning, then yielding)
+//!   until the slot's stamp reads `t - capacity + 1`, i.e. until the
+//!   previous lap's writer has published it, so two writers never store
+//!   into one slot at once. The writer then stamps the slot busy, fences,
+//!   stores the fields and publishes the stamp `t + 1` with release
+//!   ordering. A writer waits only when the ring has lapped onto a slot
+//!   whose previous writer has not finished its stores yet.
+//! * **Torn reads are detected, not prevented.** [`FlightRecorder::snapshot`]
+//!   is a seqlock reader: it loads the stamp, reads the fields, fences
+//!   (acquire) and re-checks the stamp, dropping any slot that is empty,
+//!   busy or changed under it. Each published stamp value is written once,
+//!   so a slot whose stamp held still was read whole. Under
+//!   `#![forbid(unsafe_code)]` this is the whole concurrency story: no
+//!   `UnsafeCell`, just atomics and fences.
 //!
-//! Call sites hold a [`RecorderHandle`] — the same shape as `TraceSink` and
+//! Call sites hold a [`RecorderHandle`] — the same shape as
 //! `DurabilityHook`: an `Option<Arc<FlightRecorder>>` that is inert and
 //! nearly free when disabled (one branch per call), plus a job id the owner
 //! stamps once so every event a worker emits on behalf of a job carries it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,7 +47,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum RecorderLayer {
-    /// The word-level search core (frame bounds, search entry/exit).
+    /// The word-level search core (frame bounds, search entry/exit, and the
+    /// per-decision events of a traced check).
     Core = 0,
     /// The engine portfolio (race lifecycle, spawns, answers, cancels).
     Portfolio = 1,
@@ -120,11 +131,25 @@ pub enum RecorderKind {
     /// A durable artifact was written (snapshot, post-mortem dump). Payload
     /// 0 is the byte size.
     Persisted = 12,
+    /// A traced search took a decision. Payload 0 is the decided net's
+    /// index, payload 1 the decision count so far.
+    Decision = 13,
+    /// A traced search's decision conflicted at once. Payload 0 is the net.
+    Conflict = 14,
+    /// A traced search stepped back. Payload 0 is the decision-stack depth
+    /// left.
+    Backtrack = 15,
+    /// A traced search's datapath leaf was refuted by the modular solver.
+    /// Payload 0 is the decision count so far.
+    DatapathInfeasible = 16,
+    /// A traced search reached a satisfiable leaf. Payload 0 is the
+    /// decision count so far.
+    SatLeaf = 17,
 }
 
 impl RecorderKind {
     /// All kinds, for enumeration.
-    pub const ALL: [RecorderKind; 13] = [
+    pub const ALL: [RecorderKind; 18] = [
         RecorderKind::Start,
         RecorderKind::End,
         RecorderKind::Bound,
@@ -138,6 +163,11 @@ impl RecorderKind {
         RecorderKind::Append,
         RecorderKind::Compact,
         RecorderKind::Persisted,
+        RecorderKind::Decision,
+        RecorderKind::Conflict,
+        RecorderKind::Backtrack,
+        RecorderKind::DatapathInfeasible,
+        RecorderKind::SatLeaf,
     ];
 
     /// Stable lower-case name (wire format and dump format).
@@ -156,6 +186,11 @@ impl RecorderKind {
             RecorderKind::Append => "append",
             RecorderKind::Compact => "compact",
             RecorderKind::Persisted => "persisted",
+            RecorderKind::Decision => "decision",
+            RecorderKind::Conflict => "conflict",
+            RecorderKind::Backtrack => "backtrack",
+            RecorderKind::DatapathInfeasible => "datapath_infeasible",
+            RecorderKind::SatLeaf => "sat_leaf",
         }
     }
 
@@ -183,9 +218,15 @@ pub struct FlightEvent {
     pub payload: [u64; 2],
 }
 
-/// One ring slot: a per-slot seqlock. `stamp` is 0 while a writer is mid-
-/// flight and `ticket + 1` once the slot is complete; readers re-check it
-/// after decoding and discard the slot on any change.
+/// Stamp of a slot no writer has published yet.
+const EMPTY: u64 = 0;
+/// Stamp of a slot a writer is storing into. Published stamps are
+/// `ticket + 1`, which never reaches `u64::MAX`.
+const BUSY: u64 = u64::MAX;
+
+/// One ring slot: a per-slot seqlock. `stamp` is [`EMPTY`], [`BUSY`] while
+/// a writer is mid-flight, or `ticket + 1` once the slot is complete;
+/// readers re-check it after decoding and discard the slot on any change.
 struct Slot {
     stamp: AtomicU64,
     meta: AtomicU64,
@@ -198,7 +239,7 @@ struct Slot {
 impl Slot {
     fn empty() -> Slot {
         Slot {
-            stamp: AtomicU64::new(0),
+            stamp: AtomicU64::new(EMPTY),
             meta: AtomicU64::new(0),
             job: AtomicU64::new(0),
             at_nanos: AtomicU64::new(0),
@@ -247,23 +288,43 @@ impl FlightRecorder {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Records one event. Lock-free and alloc-free: a ticket claim plus six
-    /// atomic stores. Safe from any thread, including one that is panicking.
+    /// Records one event. Lock-free and alloc-free: a ticket claim, a wait
+    /// for the slot's previous lap to publish (see the module docs), then
+    /// seven stores. Safe from any thread, including one that is panicking.
     pub fn record(&self, layer: RecorderLayer, kind: RecorderKind, job: u64, p0: u64, p1: u64) {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        // Mark the slot torn while its fields are mixed generations; readers
-        // skip stamp == 0. Release so the marker is visible before the field
-        // stores can be observed out of order.
-        slot.stamp.store(0, Ordering::Release);
+        let capacity = self.slots.len() as u64;
+        let slot = &self.slots[(ticket % capacity) as usize];
+        // Our turn comes once the previous lap's ticket has published this
+        // slot; only the ticket one lap ahead ever waits on ours.
+        let turn = match ticket.checked_sub(capacity) {
+            Some(previous) => previous + 1,
+            None => EMPTY,
+        };
+        let mut spins = 0u32;
+        while slot.stamp.load(Ordering::Acquire) != turn {
+            if spins < 64 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        // Mark the slot busy while its fields are mixed generations. The
+        // release fence keeps the field stores below from becoming visible
+        // before the marker; it pairs with the reader's acquire fence in
+        // `snapshot`. The acquire wait above orders these stores after the
+        // previous lap's, so the slot never keeps a mix of two writes.
+        slot.stamp.store(BUSY, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.meta
             .store((layer as u64) | ((kind as u64) << 8), Ordering::Relaxed);
         slot.job.store(job, Ordering::Relaxed);
         slot.at_nanos.store(self.now_nanos(), Ordering::Relaxed);
         slot.payload0.store(p0, Ordering::Relaxed);
         slot.payload1.store(p1, Ordering::Relaxed);
-        // Publish: the unique ticket (+1, so 0 stays "torn/empty") is the
-        // generation a reader validates against.
+        // Publish: the unique ticket (+1, so 0 stays "empty") is the
+        // generation a reader validates against, and the next lap's turn.
         slot.stamp.store(ticket + 1, Ordering::Release);
     }
 
@@ -286,7 +347,7 @@ impl FlightRecorder {
         let mut events: Vec<FlightEvent> = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let before = slot.stamp.load(Ordering::Acquire);
-            if before == 0 {
+            if before == EMPTY || before == BUSY {
                 continue; // never written, or a writer is mid-flight
             }
             let meta = slot.meta.load(Ordering::Relaxed);
@@ -296,14 +357,17 @@ impl FlightRecorder {
                 slot.payload0.load(Ordering::Relaxed),
                 slot.payload1.load(Ordering::Relaxed),
             ];
-            if slot.stamp.load(Ordering::Acquire) != before {
+            // Pairs with the writer's release fence: a field load that saw
+            // a newer write makes the re-check see its BUSY or later stamp.
+            fence(Ordering::Acquire);
+            if slot.stamp.load(Ordering::Relaxed) != before {
                 continue; // torn under us; the writer's version wins
             }
             let (Some(layer), Some(kind)) = (
                 RecorderLayer::from_u8((meta & 0xff) as u8),
                 RecorderKind::from_u8(((meta >> 8) & 0xff) as u8),
             ) else {
-                continue; // unreadable meta from a racing generation
+                continue; // published metas always decode; defensive only
             };
             events.push(FlightEvent {
                 seq: before - 1,
@@ -322,7 +386,7 @@ impl FlightRecorder {
 /// A cloneable, optionally-disabled reference to a [`FlightRecorder`], plus
 /// the job id the owner stamps on every event it emits.
 ///
-/// The same pattern as `TraceSink` and `DurabilityHook`: configuration
+/// The same pattern as `DurabilityHook`: configuration
 /// structs hold one, it defaults to disabled, and a disabled handle costs a
 /// single branch per call. [`RecorderHandle::with_job`] derives a handle
 /// bound to a specific job so deep layers (the search core, the race) emit

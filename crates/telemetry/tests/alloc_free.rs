@@ -1,7 +1,7 @@
 //! Proves the telemetry hot path upholds the workspace's zero-alloc
-//! steady-state contract: once handles are registered and the tracer ring is
-//! at capacity, recording counters, gauges, histogram samples and trace
-//! events performs **zero heap allocations**. Only registration, snapshots
+//! steady-state contract: once handles are registered, recording counters,
+//! gauges, histogram samples and flight-recorder events performs **zero heap
+//! allocations**. Only registration, snapshots
 //! and rendering — setup and scrape time — may allocate.
 //!
 //! Same discipline as `crates/core/tests/alloc_free.rs`: a counting global
@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlac_telemetry::{
-    FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer, SpanId, Tracer,
+    FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer,
 };
 
 struct CountingAlloc;
@@ -53,26 +53,22 @@ fn min_alloc_delta(attempts: usize, mut work: impl FnMut()) -> u64 {
 
 #[test]
 fn hot_path_recording_allocates_nothing() {
-    // Setup (may allocate): registry, handles, tracer.
+    // Setup (may allocate): registry, handles, recorder.
     let registry = MetricsRegistry::new();
     let counter = registry.counter("core_decisions_total");
     let gauge = registry.gauge("service_queue_depth");
     let histogram = registry.histogram("request_wall_ns");
-    let tracer = Tracer::new(256);
     let recorder = std::sync::Arc::new(FlightRecorder::new(256));
     let handle = RecorderHandle::to(recorder.clone()).with_job(7);
 
-    // Warm-up: fill the tracer ring past capacity so every later push
-    // overwrites in place, and touch every histogram bucket once. The flight
-    // recorder's ring is pre-allocated at construction, so recording into it
-    // is in-place from the first event — but wrap it past capacity anyway so
+    // Warm-up: touch every histogram bucket once. The flight recorder's
+    // ring is pre-allocated at construction, so recording into it is
+    // in-place from the first event — but wrap it past capacity anyway so
     // the steady state below exercises the overwrite path.
-    let span = tracer.span_start("warmup", SpanId::ROOT);
     for i in 0..512u64 {
         counter.inc();
         gauge.set(i as f64);
         histogram.record(1u64 << (i % 60));
-        tracer.event("tick", span, i);
         handle.record(RecorderLayer::Core, RecorderKind::Bound, i, 0);
     }
 
@@ -83,20 +79,15 @@ fn hot_path_recording_allocates_nothing() {
             gauge.add(1.0);
             gauge.sub(1.0);
             histogram.record(i.wrapping_mul(2_654_435_761));
-            tracer.event("decision", span, i);
             handle.record(RecorderLayer::Service, RecorderKind::Dequeue, i, 1);
         }
     });
     assert_eq!(
         delta, 0,
-        "metric/trace recording must be allocation-free after warm-up"
+        "metric/event recording must be allocation-free after warm-up"
     );
     assert!(counter.get() >= 512 + 5 * 20_000);
     assert!(histogram.count() >= 512 + 5 * 10_000);
-    assert!(
-        tracer.dropped() > 0,
-        "ring must have wrapped during the test"
-    );
     assert!(
         recorder.overwrites() > 0,
         "flight-recorder ring must have wrapped during the test"

@@ -51,12 +51,25 @@ impl BitBlaster {
     ///
     /// Returns [`UnsupportedGateError`] for multipliers and variable shifts.
     pub fn encode(netlist: &Netlist) -> Result<Self, UnsupportedGateError> {
+        Self::encode_polling(netlist, &CancelToken::new())
+    }
+
+    /// [`BitBlaster::encode`], polling `cancel` per net and per gate. A
+    /// cancelled encoding stops early and returns a partial formula, so the
+    /// caller must check the token before using the result.
+    fn encode_polling(
+        netlist: &Netlist,
+        cancel: &CancelToken,
+    ) -> Result<Self, UnsupportedGateError> {
         let mut this = BitBlaster {
             cnf: Cnf::new(),
             bits: HashMap::new(),
             var_origin: Vec::new(),
         };
         for net in netlist.nets() {
+            if cancel.is_cancelled() {
+                return Ok(this);
+            }
             let lits = (0..netlist.net_width(net))
                 .map(|bit| {
                     let var = this.cnf.fresh_var();
@@ -68,6 +81,9 @@ impl BitBlaster {
             this.bits.insert(net, lits);
         }
         for (_, gate) in netlist.gates() {
+            if cancel.is_cancelled() {
+                break;
+            }
             this.encode_gate(netlist, gate)?;
         }
         Ok(this)
@@ -621,9 +637,11 @@ fn lift_learned(
     }
 }
 
-/// Like [`bounded_model_check`], but polls `cancel` between unrolling depths
-/// and inside the SAT search, so a portfolio supervisor can stop a losing BMC
-/// run promptly. A cancelled run reports [`BmcOutcome::Unknown`].
+/// Like [`bounded_model_check`], but polls `cancel` between unrolling depths,
+/// per gate while encoding a depth, while loading its formula into the SAT
+/// solver and inside the SAT search, so a portfolio race can stop a losing
+/// BMC run within microseconds. A cancelled run reports
+/// [`BmcOutcome::Unknown`].
 pub fn bounded_model_check_cancellable(
     verification: &Verification,
     max_frames: usize,
@@ -672,10 +690,10 @@ fn bmc_impl(
             );
         }
         let unrolling = Unrolling::new(&verification.netlist, frames);
-        let encoded = BitBlaster::encode(unrolling.circuit());
+        let encoded = BitBlaster::encode_polling(unrolling.circuit(), cancel);
         let mut blaster = match encoded {
-            Ok(b) => b,
-            Err(_) => {
+            Ok(b) if !cancel.is_cancelled() => b,
+            _ => {
                 return (
                     report(BmcOutcome::Unknown, peak, variables, clauses, None, sat),
                     harvest,
@@ -907,5 +925,54 @@ mod tests {
         let b = nl.input("b", 4);
         let _ = nl.mul(a, b);
         assert!(BitBlaster::encode(&nl).is_err());
+    }
+
+    #[test]
+    fn cancellation_stops_a_wide_encoding_within_milliseconds() {
+        use std::thread;
+        // A 1024-bit accumulator adding two even inputs per cycle: its low
+        // bit stays 0. Two frames of it are ~200k clauses, about 30 ms of
+        // encoding and solving, most of it between two depth-level polls.
+        let width = 1024;
+        let mut nl = Netlist::new("wide_even");
+        let (acc, ff) = nl.dff_deferred(width, Some(Bv::zero(width)));
+        let zero = nl.constant(&Bv::zero(1));
+        let mut sum = acc;
+        for name in ["a", "b"] {
+            let input = nl.input(name, width);
+            let low = nl.slice(input, 0, width - 1);
+            let even = nl.concat(low, zero);
+            sum = nl.add(sum, even);
+        }
+        nl.connect_dff_data(ff, sum);
+        let bit0 = nl.slice(acc, 0, 1);
+        let ok = nl.eq(bit0, zero);
+        let property = Property::always(&nl, "even", ok);
+        let verification = Verification::new(nl, property);
+
+        // Best of three, so one unlucky time slice cannot fail the test.
+        let latency = (0..3)
+            .map(|_| {
+                let cancel = CancelToken::new();
+                let canceller = {
+                    let cancel = cancel.clone();
+                    thread::spawn(move || {
+                        thread::sleep(Duration::from_millis(1));
+                        cancel.cancel();
+                        Instant::now()
+                    })
+                };
+                let report = bounded_model_check_cancellable(&verification, 2, 1_000_000, &cancel);
+                let returned = Instant::now();
+                let cancelled_at = canceller.join().expect("canceller thread");
+                assert_eq!(report.outcome, BmcOutcome::Unknown);
+                returned.saturating_duration_since(cancelled_at)
+            })
+            .min()
+            .expect("three runs");
+        assert!(
+            latency < Duration::from_millis(3),
+            "returned {latency:?} after the cancel"
+        );
     }
 }

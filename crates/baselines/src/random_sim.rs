@@ -6,12 +6,12 @@
 //! for a number of runs and report whether the monitor was ever violated
 //! (for `Always` properties) or satisfied (for `Eventually` witnesses).
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use wlac_atpg::{CancelToken, PropertyKind, Trace, Verification};
 use wlac_bv::Bv;
+use wlac_netlist::NetId;
 use wlac_rng::Rng64;
-use wlac_sim::simulate;
+use wlac_sim::Simulator;
 
 /// Result of a random-simulation campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,8 +42,13 @@ pub fn random_simulation(
     random_simulation_cancellable(verification, runs, cycles, seed, &CancelToken::new())
 }
 
-/// Like [`random_simulation`], but polls `cancel` between runs so a portfolio
-/// supervisor can stop a losing campaign promptly.
+/// Like [`random_simulation`], but polls `cancel` every simulated cycle so
+/// a portfolio race can stop a losing campaign within microseconds.
+///
+/// Each run steps one [`Simulator`] a cycle at a time and stops at its first
+/// hit cycle. The input draws are those of whole `cycles`-long runs (a run
+/// abandoned early still consumes its remaining draws), so the hit, its
+/// cycle and its trace do not depend on where a run stops.
 pub fn random_simulation_cancellable(
     verification: &Verification,
     runs: usize,
@@ -54,67 +59,79 @@ pub fn random_simulation_cancellable(
     let start = Instant::now();
     let netlist = &verification.netlist;
     let mut rng = Rng64::seed_from_u64(seed);
-    let mut target_hit = false;
-    let mut first_hit_cycle = None;
-    let mut trace = None;
+    let mut report = RandomSimReport {
+        target_hit: false,
+        first_hit_cycle: None,
+        runs,
+        cycles_per_run: cycles,
+        elapsed: Duration::ZERO,
+        trace: None,
+    };
+    let Ok(mut sim) = Simulator::new(netlist) else {
+        report.elapsed = start.elapsed();
+        return report;
+    };
+    let words_per_cycle: usize = netlist
+        .inputs()
+        .iter()
+        .map(|pi| netlist.net_width(*pi).div_ceil(64))
+        .sum();
+    let mut frames: Vec<Vec<(NetId, Bv)>> = Vec::with_capacity(cycles);
     'runs: for _ in 0..runs {
-        if cancel.is_cancelled() {
-            break;
-        }
-        let mut frames = Vec::with_capacity(cycles);
-        for _ in 0..cycles {
-            let mut inputs: HashMap<_, _> = HashMap::new();
-            for pi in netlist.inputs() {
-                let width = netlist.net_width(*pi);
-                let words: Vec<u64> = (0..width.div_ceil(64)).map(|_| rng.next_u64()).collect();
-                inputs.insert(*pi, Bv::from_words(width, &words));
-            }
-            frames.push(inputs);
-        }
-        let Ok(run) = simulate(netlist, &[], &frames) else {
-            break;
-        };
+        sim.reset();
+        frames.clear();
         for cycle in 0..cycles {
-            let monitor = run.value(cycle, verification.property.monitor);
+            if cancel.is_cancelled() {
+                break 'runs;
+            }
+            let frame: Vec<(NetId, Bv)> = netlist
+                .inputs()
+                .iter()
+                .map(|pi| {
+                    let width = netlist.net_width(*pi);
+                    let words: Vec<u64> = (0..width.div_ceil(64)).map(|_| rng.next_u64()).collect();
+                    (*pi, Bv::from_words(width, &words))
+                })
+                .collect();
+            if sim.settle(&frame).is_err() {
+                break 'runs;
+            }
+            frames.push(frame);
             let env_ok = verification
                 .environment
                 .iter()
-                .all(|e| !run.value(cycle, *e).is_zero());
+                .all(|e| !sim.net_value(*e).is_zero());
             if !env_ok {
                 // The environment must hold in *every* cycle; once violated,
                 // the design state is polluted and any later hit would yield
-                // a trace the checkers rightly reject. Abandon the run.
-                break;
+                // a trace the checkers rightly reject. Abandon the run, but
+                // draw its remaining inputs so later runs see the same ones.
+                for _ in 0..(cycles - cycle - 1) * words_per_cycle {
+                    rng.next_u64();
+                }
+                continue 'runs;
             }
+            let monitor = sim.net_value(verification.property.monitor);
             let hit = match verification.property.kind {
                 PropertyKind::Always => monitor.is_zero(),
                 PropertyKind::Eventually => !monitor.is_zero(),
             };
             if hit {
-                target_hit = true;
-                first_hit_cycle = Some(cycle);
-                // The replayed simulation starts from the same reset state as
-                // `simulate(netlist, &[], ..)`, so an empty initial state
-                // reproduces the run exactly.
-                trace = Some(Trace {
+                report.target_hit = true;
+                report.first_hit_cycle = Some(cycle);
+                // The replayed simulation starts from the same reset state
+                // as this run, so an empty initial state reproduces it.
+                report.trace = Some(Trace {
                     initial_state: Vec::new(),
-                    inputs: frames[..=cycle]
-                        .iter()
-                        .map(|frame| frame.iter().map(|(n, v)| (*n, v.clone())).collect())
-                        .collect(),
+                    inputs: frames,
                 });
                 break 'runs;
             }
+            sim.clock();
         }
     }
-    RandomSimReport {
-        target_hit,
-        first_hit_cycle,
-        runs,
-        cycles_per_run: cycles,
-        elapsed: start.elapsed(),
-        trace,
-    }
+    report.elapsed = start.elapsed();
+    report
 }
 
 #[cfg(test)]

@@ -54,11 +54,19 @@ impl Lit {
 /// this tag through conflict analysis, so a learned clause whose derivation
 /// only ever touched structural clauses is itself design-valid and can be
 /// exported for reuse by later queries (see [`Cnf::solve_learning`]).
+///
+/// The clauses are stored back to back in one literal buffer, so building
+/// and dropping a formula of a million clauses costs a few allocations, not
+/// a million.
 #[derive(Debug, Clone, Default)]
 pub struct Cnf {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
-    /// `true` for query-specific (constraint) clauses, parallel to `clauses`.
+    /// Every clause's literals, back to back.
+    lits: Vec<Lit>,
+    /// `ends[i]` is the end of clause `i` in `lits` (its start is
+    /// `ends[i - 1]`, or 0).
+    ends: Vec<usize>,
+    /// `true` for query-specific (constraint) clauses, parallel to `ends`.
     constraint: Vec<bool>,
 }
 
@@ -81,7 +89,22 @@ impl Cnf {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
+    }
+
+    /// The clauses in insertion order, each with its constraint tag.
+    fn clauses(&self) -> impl Iterator<Item = (&[Lit], bool)> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .zip(&self.constraint)
+            .map(|((start, &end), &constraint)| (&self.lits[start..end], constraint))
+    }
+
+    fn push(&mut self, clause: &[Lit], constraint: bool) {
+        self.lits.extend_from_slice(clause);
+        self.ends.push(self.lits.len());
+        self.constraint.push(constraint);
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -90,21 +113,21 @@ impl Cnf {
     /// never exported as design-valid. Use [`Cnf::add_structural_clause`] for
     /// clauses that hold for every query against the same design.
     pub fn add_clause(&mut self, clause: Vec<Lit>) {
-        self.clauses.push(clause);
-        self.constraint.push(true);
+        self.push(&clause, true);
     }
 
     /// Adds a *structural* clause: one implied by the design alone, valid for
     /// every query. Learned clauses derived exclusively from structural
     /// clauses are exported by [`Cnf::solve_learning`].
     pub fn add_structural_clause(&mut self, clause: Vec<Lit>) {
-        self.clauses.push(clause);
-        self.constraint.push(false);
+        self.push(&clause, false);
     }
 
     /// Approximate memory held by the formula, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.clauses.iter().map(|c| c.len() * 4 + 25).sum::<usize>() + 48
+        self.lits.len() * std::mem::size_of::<Lit>()
+            + self.ends.len() * (std::mem::size_of::<usize>() + 1)
+            + 48
     }
 
     /// Solves the formula.
@@ -221,11 +244,15 @@ impl SatStats {
     }
 }
 
-/// One clause with its learning metadata.
-#[derive(Debug, Clone)]
+/// One clause with its learning metadata; its literals live in the solver's
+/// literal arena.
+#[derive(Debug, Clone, Copy)]
 struct Clause {
-    /// Watched literals sit in positions 0 and 1.
-    lits: Vec<Lit>,
+    /// Start of the literals in [`Solver::lits`]; the watched literals sit
+    /// at positions 0 and 1.
+    start: usize,
+    /// Number of literals.
+    len: usize,
     /// Bump-and-decay activity (learned clauses only).
     activity: f64,
     /// Literal block distance at learn time (0 for problem clauses).
@@ -357,6 +384,8 @@ const RESTART_UNIT: u64 = 64;
 struct Solver {
     /// Problem clauses and learned clauses, in one arena.
     clauses: Vec<Clause>,
+    /// The literals of every clause, back to back.
+    lits: Vec<Lit>,
     watches: Vec<Vec<usize>>,
     assignment: Vec<Option<bool>>,
     /// Decision level at which each variable was assigned.
@@ -410,10 +439,14 @@ const MAX_EXPORTED_CLAUSES: usize = 4096;
 
 const NO_REASON: usize = usize::MAX;
 
+/// Clauses loaded between two cancellation polls in [`Solver::new`].
+const CANCEL_POLL_STRIDE: usize = 64;
+
 impl Solver {
     fn new(cnf: &Cnf, budget: u64, cancel: CancelToken, max_export_len: usize) -> Self {
         let mut this = Solver {
-            clauses: Vec::with_capacity(cnf.clauses.len()),
+            clauses: Vec::with_capacity(cnf.num_clauses()),
+            lits: Vec::with_capacity(cnf.lits.len()),
             watches: vec![Vec::new(); cnf.num_vars * 2],
             assignment: vec![None; cnf.num_vars],
             level: vec![0; cnf.num_vars],
@@ -427,7 +460,7 @@ impl Solver {
             clause_activity_inc: 1.0,
             order: VarOrder::new(cnf.num_vars),
             phase: vec![true; cnf.num_vars],
-            max_learnts: (cnf.clauses.len() / 3).max(100),
+            max_learnts: (cnf.num_clauses() / 3).max(100),
             learned_count: 0,
             conflicts_since_restart: 0,
             seen: vec![false; cnf.num_vars],
@@ -441,26 +474,35 @@ impl Solver {
             budget,
             cancel,
         };
-        for (clause, constraint) in cnf.clauses.iter().zip(&cnf.constraint) {
-            match clause.as_slice() {
+        for (loaded, (clause, constraint)) in cnf.clauses().enumerate() {
+            // Loading a large formula takes milliseconds; a cancelled load
+            // stops early and `search` returns at its first poll. (A root
+            // conflict among the clauses loaded so far is still a sound
+            // UNSAT answer.)
+            if loaded % CANCEL_POLL_STRIDE == 0 && this.cancel.is_cancelled() {
+                break;
+            }
+            match clause {
                 [] => this.root_conflict = true,
                 [unit] => {
                     if !this.enqueue(*unit, NO_REASON) {
                         this.root_conflict = true;
                     }
-                    this.var_taint[unit.var()] |= *constraint;
+                    this.var_taint[unit.var()] |= constraint;
                 }
                 [a, b, ..] => {
                     let index = this.clauses.len();
                     this.watches[a.code as usize].push(index);
                     this.watches[b.code as usize].push(index);
                     this.clauses.push(Clause {
-                        lits: clause.clone(),
+                        start: this.lits.len(),
+                        len: clause.len(),
                         activity: 0.0,
                         lbd: 0,
                         learned: false,
-                        tainted: *constraint,
+                        tainted: constraint,
                     });
+                    this.lits.extend_from_slice(clause);
                 }
             }
         }
@@ -527,7 +569,8 @@ impl Solver {
                     kept.push(ci);
                     continue;
                 }
-                let clause = &mut self.clauses[ci].lits;
+                let Clause { start, len, .. } = self.clauses[ci];
+                let clause = &mut self.lits[start..start + len];
                 // Normalise so position 1 holds the falsified watch.
                 if clause[0] == falsified {
                     clause.swap(0, 1);
@@ -567,10 +610,14 @@ impl Solver {
                     // analysis silently drops level-0 literals from learned
                     // clauses, so design-validity must be tracked through
                     // these assignments.
-                    let clause = &self.clauses[ci];
-                    let taint = clause.tainted
-                        || clause
-                            .lits
+                    let Clause {
+                        start,
+                        len,
+                        tainted,
+                        ..
+                    } = self.clauses[ci];
+                    let taint = tainted
+                        || self.lits[start..start + len]
                             .iter()
                             .any(|l| l.var() != other.var() && self.var_taint[l.var()]);
                     self.var_taint[other.var()] = taint;
@@ -615,7 +662,8 @@ impl Solver {
         let asserting = loop {
             self.bump_clause(clause_index);
             taint |= self.clauses[clause_index].tainted;
-            let clause = &self.clauses[clause_index].lits;
+            let Clause { start, len, .. } = self.clauses[clause_index];
+            let clause = &self.lits[start..start + len];
             // Skip the asserted literal (position 0) of reason clauses; the
             // initial conflict clause contributes every literal.
             let skip = usize::from(resolved_on.is_some());
@@ -728,12 +776,14 @@ impl Solver {
         let asserting = learned[0];
         let lbd = self.lbd_of(&learned);
         self.clauses.push(Clause {
-            lits: learned,
+            start: self.lits.len(),
+            len: learned.len(),
             activity: self.clause_activity_inc,
             lbd,
             learned: true,
             tainted,
         });
+        self.lits.extend_from_slice(&learned);
         self.learned_count += 1;
         let ok = self.enqueue(asserting, index);
         debug_assert!(ok, "asserting literal is unassigned after backjump");
@@ -773,17 +823,23 @@ impl Solver {
         for &ci in deletable.iter().take(num_delete) {
             remove[ci] = true;
         }
-        // Compact the arena and remap indices.
+        // Compact the arenas and remap indices.
         let mut new_index = vec![NO_REASON; self.clauses.len()];
         let mut kept = Vec::with_capacity(self.clauses.len() - num_delete);
-        for (ci, clause) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
+        let mut lits = Vec::with_capacity(self.lits.len());
+        for (ci, clause) in self.clauses.iter().enumerate() {
             if remove[ci] {
                 continue;
             }
             new_index[ci] = kept.len();
-            kept.push(clause);
+            kept.push(Clause {
+                start: lits.len(),
+                ..*clause
+            });
+            lits.extend_from_slice(&self.lits[clause.start..clause.start + clause.len]);
         }
         self.clauses = kept;
+        self.lits = lits;
         // Remap reasons of live assignments; reasons of unassigned variables
         // are stale leftovers from undone levels and must not keep clauses
         // alive (or be remapped — their target may be gone).
@@ -802,8 +858,8 @@ impl Solver {
             list.clear();
         }
         for (ci, clause) in self.clauses.iter().enumerate() {
-            self.watches[clause.lits[0].code as usize].push(ci);
-            self.watches[clause.lits[1].code as usize].push(ci);
+            self.watches[self.lits[clause.start].code as usize].push(ci);
+            self.watches[self.lits[clause.start + 1].code as usize].push(ci);
         }
         self.learned_count -= num_delete;
         self.stats.deleted_clauses += num_delete as u64;

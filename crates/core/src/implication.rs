@@ -688,8 +688,9 @@ impl Propagator {
     }
 }
 
-/// A standalone word-level implication engine: an [`Assignment`] plus a
-/// levelized [`Propagator`] behind a small public API.
+/// A standalone word-level implication engine: the checker's net assignment
+/// (with its word-delta undo trail) plus its levelized propagator, behind a
+/// small public API.
 ///
 /// This exposes the checker's innermost loop — refine a net, propagate to a
 /// fixed point, backtrack — for diagnostics, benchmarking and embedding. At

@@ -97,8 +97,9 @@ pub struct EngineRun {
     pub verdict: Verdict,
     /// Wall-clock time the engine spent.
     pub elapsed: Duration,
-    /// `true` when the run was stopped by the race supervisor before it
-    /// reached a definitive verdict.
+    /// `true` when the run was stopped by the race's cancellation (a winning
+    /// engine's, or the job budget's deadline) before it reached a
+    /// definitive verdict.
     pub cancelled: bool,
     /// Effort statistics for attribution.
     pub stats: EngineStats,

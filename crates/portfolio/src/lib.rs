@@ -6,7 +6,10 @@
 //! ([`wlac_atpg::AssertionChecker`]), SAT bounded model checking
 //! ([`wlac_baselines::bounded_model_check`]) and random simulation on each
 //! property, takes the first definitive answer, and cooperatively cancels the
-//! losers through [`wlac_atpg::CancelToken`].
+//! losers through [`wlac_atpg::CancelToken`]. The engine thread whose
+//! validated definitive verdict comes first claims the win and cancels the
+//! losers itself, so they stop while the supervisor is still waiting to be
+//! scheduled; every engine polls the token within microseconds.
 //!
 //! Beyond single-property racing, [`Portfolio::check_batch`] shards a whole
 //! suite of properties across a worker-thread pool, and every trace-backed
@@ -58,7 +61,7 @@ pub use verdict::Verdict;
 pub use warm::{Harvest, WarmStart};
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -169,7 +172,8 @@ impl Portfolio {
     }
 
     /// Races every configured engine on one property; the first definitive
-    /// verdict wins and the losing engines are cancelled cooperatively.
+    /// verdict wins, and its engine thread cancels the losing engines
+    /// cooperatively.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
         self.run_portfolio(verification, true, None, &RecorderHandle::disabled(), None)
             .0
@@ -195,7 +199,8 @@ impl Portfolio {
     ///   it) emits goes through `recorder` — the per-job handle the
     ///   verification service derives, so a remote `events` tail can be
     ///   filtered down to one job: race start, one spawn per engine, one
-    ///   answer per engine, the cancel of the losers, race end.
+    ///   answer per engine, the cancel of the losers (recorded by the
+    ///   winning engine's thread, before its answer), race end.
     /// * The race publishes live progress into `progress`: the ATPG engine
     ///   streams bound advances and effort counters from inside its search,
     ///   and the supervisor stores every engine's final statistics the
@@ -270,7 +275,11 @@ impl Portfolio {
         let engines: &[Engine] = warm
             .and_then(|w| w.engines.as_deref())
             .unwrap_or(&self.config.engines);
-        let (tx, rx) = mpsc::channel::<(EngineRun, EngineHarvest)>();
+        let (tx, rx) = mpsc::channel::<(EngineRun, EngineHarvest, bool)>();
+        // Set by the one engine thread whose validated definitive verdict
+        // comes first: that thread cancels the losers itself instead of
+        // waiting for the supervisor to be scheduled.
+        let claimed = AtomicBool::new(false);
         let mut runs: Vec<EngineRun> = Vec::with_capacity(engines.len());
         let mut harvest = Harvest::default();
         let mut winner: Option<usize> = None;
@@ -290,6 +299,7 @@ impl Portfolio {
                 let tx = tx.clone();
                 let token = token.clone();
                 let config = &self.config;
+                let claimed = &claimed;
                 recorder.record(
                     RecorderLayer::Portfolio,
                     RecorderKind::Spawn,
@@ -300,7 +310,7 @@ impl Portfolio {
                     .map(|p| p.handle(engine))
                     .unwrap_or_else(wlac_telemetry::ProgressHandle::disabled);
                 scope.spawn(move || {
-                    let run = engines::run_engine_probed(
+                    let (run, engine_harvest) = engines::run_engine_probed(
                         engine,
                         verification,
                         config,
@@ -309,16 +319,30 @@ impl Portfolio {
                         recorder,
                         &progress_handle,
                     );
+                    // The verdict is already validated, so a rejected trace
+                    // never cancels anyone.
+                    let won = cancel_losers
+                        && run.verdict.is_definitive()
+                        && !claimed.swap(true, Ordering::AcqRel);
+                    if won {
+                        token.cancel();
+                        recorder.record(
+                            RecorderLayer::Portfolio,
+                            RecorderKind::Cancel,
+                            engine_code(engine),
+                            0,
+                        );
+                    }
                     // The receiver outlives the scope; a send only fails if
                     // the supervisor panicked, in which case the scope
                     // propagates that panic anyway.
-                    let _ = tx.send(run);
+                    let _ = tx.send((run, engine_harvest, won));
                 });
             }
             drop(tx);
-            // Collect results in finish order; the first definitive one wins
-            // and (in racing mode) cancels everyone still searching.
-            while let Ok((run, engine_harvest)) = rx.recv() {
+            // Collect results in finish order; in racing mode the claimant
+            // is the winner (it has already cancelled everyone else).
+            while let Ok((run, engine_harvest, won)) = rx.recv() {
                 let at = start.elapsed();
                 let definitive = run.verdict.is_definitive();
                 if let Some(progress) = progress {
@@ -337,17 +361,8 @@ impl Portfolio {
                     }
                     _ => {}
                 }
-                if winner.is_none() && definitive {
+                if won {
                     winner = Some(runs.len());
-                    if cancel_losers {
-                        token.cancel();
-                        recorder.record(
-                            RecorderLayer::Portfolio,
-                            RecorderKind::Cancel,
-                            engine_code(run.engine),
-                            0,
-                        );
-                    }
                 }
                 harvest.clauses.extend(engine_harvest.clauses);
                 if engine_harvest.knowledge.is_some() {
@@ -434,7 +449,9 @@ fn metric_suffix(engine: Engine) -> &'static str {
 
 /// Publishes one race's attribution into the shared registry: race and
 /// per-engine win counters, per-engine wall-clock and race wall-clock
-/// histograms, cancelled-run and disagreement counters, and the win margin
+/// histograms, the race overhead (race wall clock minus the winning run's
+/// own elapsed time — what the losers and the supervisor cost on top of
+/// the answer), cancelled-run and disagreement counters, and the win margin
 /// (first definitive answer to the next engine's answer — how much racing
 /// actually bought).
 fn record_race_metrics(
@@ -450,6 +467,11 @@ fn record_race_metrics(
         registry
             .counter(&format!("portfolio_wins_{}_total", metric_suffix(winner)))
             .inc();
+        if let Some(run) = report.run_of(winner) {
+            registry
+                .histogram("portfolio_race_overhead_ns")
+                .record(report.wall_clock.saturating_sub(run.elapsed).as_nanos() as u64);
+        }
     } else {
         registry.counter("portfolio_no_winner_total").inc();
     }
@@ -643,6 +665,52 @@ mod tests {
     }
 
     #[test]
+    fn the_winner_records_the_one_cancel_before_its_answer() {
+        use wlac_telemetry::FlightRecorder;
+        let recorder = Arc::new(FlightRecorder::new(1 << 14));
+        let race = |portfolio: &Portfolio, job: u64, verification: &Verification| {
+            let (report, _) = portfolio.race_warm(
+                verification,
+                &WarmStart::new(),
+                &RecorderHandle::to(Arc::clone(&recorder)).with_job(job),
+                &RaceProgress::new(),
+            );
+            let events: Vec<_> = recorder
+                .snapshot()
+                .into_iter()
+                .filter(|e| e.layer == RecorderLayer::Portfolio && e.job == job)
+                .collect();
+            (report, events)
+        };
+        let decided = [
+            counter(12, 5, "holds"),
+            counter(5, 12, "fails"),
+            counter(2, 12, "fails_early"),
+            counter(8, 9, "holds_in_bound"),
+        ];
+        for (job, verification) in (1..).zip(&decided) {
+            let (report, events) = race(&Portfolio::with_defaults(), job, verification);
+            let winner = engine_code(report.winner.expect("a decided race"));
+            let cancels: Vec<usize> = (0..events.len())
+                .filter(|&i| events[i].kind == RecorderKind::Cancel)
+                .collect();
+            assert_eq!(cancels.len(), 1, "job {job}: {events:?}");
+            assert_eq!(events[cancels[0]].payload[0], winner, "job {job}");
+            let answer = events
+                .iter()
+                .position(|e| e.kind == RecorderKind::Answer && e.payload[0] == winner)
+                .expect("the winner answers");
+            assert!(cancels[0] < answer, "job {job}: {events:?}");
+        }
+        // An undecided race has no winner, so nobody cancels.
+        let sim_only =
+            Portfolio::new(PortfolioConfig::default().with_engines(vec![Engine::RandomSim]));
+        let (report, events) = race(&sim_only, 99, &counter(12, 5, "undecided"));
+        assert!(report.winner.is_none(), "{:?}", report.verdict);
+        assert!(events.iter().all(|e| e.kind != RecorderKind::Cancel));
+    }
+
+    #[test]
     fn metrics_registry_sees_races_and_wins() {
         let registry = Arc::new(MetricsRegistry::new());
         let portfolio = Portfolio::with_defaults().with_metrics(registry.clone());
@@ -655,6 +723,8 @@ mod tests {
             .get();
         assert!(wins >= 1, "winner {winner} should be counted");
         assert_eq!(registry.histogram("portfolio_race_wall_ns").count(), 2);
+        // Both races are decided, so each records its overhead.
+        assert_eq!(registry.histogram("portfolio_race_overhead_ns").count(), 2);
         // Each race runs all three engines; every run's wall clock lands in
         // its per-engine histogram.
         let per_engine: u64 = Engine::ALL

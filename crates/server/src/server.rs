@@ -981,7 +981,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         // stream notices the drain flag and ends instead.
         if wants_subscribe(&line) {
             let started = Instant::now();
-            match subscribe_connection(state, &line, &stream) {
+            match subscribe_connection(state, conn, started, &line, &stream) {
                 SubscribeOutcome::Reject(reply) => {
                     record_request(state, conn, "subscribe", &reply, started.elapsed());
                     let sent = writer
@@ -991,8 +991,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                         break;
                     }
                 }
-                SubscribeOutcome::Streamed { summary, close } => {
-                    record_request(state, conn, "subscribe", &summary, started.elapsed());
+                SubscribeOutcome::Streamed { close } => {
                     if close {
                         break;
                     }
@@ -1035,10 +1034,10 @@ enum SubscribeOutcome {
     /// The request never became a stream: answer `reply` like any other op
     /// and keep serving the connection.
     Reject(Json),
-    /// The stream ran and wrote its own frames; `summary` exists only for
-    /// request accounting. `close` means the socket is no longer usable
-    /// (slow-consumer shed, write failure, or server shutdown).
-    Streamed { summary: Json, close: bool },
+    /// The stream ran, wrote its own frames and booked the request. `close`
+    /// means the socket is no longer usable (slow-consumer shed, write
+    /// failure, or server shutdown).
+    Streamed { close: bool },
 }
 
 /// Bounds of a subscriber's requested progress-tick interval.
@@ -1047,7 +1046,13 @@ const SUBSCRIBE_MAX_INTERVAL: Duration = Duration::from_secs(60);
 
 /// Validates a `subscribe` request and, when it names a live batch, streams
 /// it (see [`stream_subscription`]).
-fn subscribe_connection(state: &ServerState, line: &str, stream: &TcpStream) -> SubscribeOutcome {
+fn subscribe_connection(
+    state: &ServerState,
+    conn: u64,
+    started: Instant,
+    line: &str,
+    stream: &TcpStream,
+) -> SubscribeOutcome {
     let frame = match Json::parse(line) {
         Ok(frame) => frame,
         Err(e) => return SubscribeOutcome::Reject(error_reply(ErrorCode::BadJson, e.to_string())),
@@ -1068,7 +1073,7 @@ fn subscribe_connection(state: &ServerState, line: &str, stream: &TcpStream) -> 
         .map(Duration::from_millis)
         .unwrap_or(state.subscribe_interval)
         .clamp(SUBSCRIBE_MIN_INTERVAL, SUBSCRIBE_MAX_INTERVAL);
-    stream_subscription(state, batch, interval, stream)
+    stream_subscription(state, conn, started, batch, interval, stream)
 }
 
 /// The producer side of one `subscribe` stream: pushes frames into the
@@ -1084,6 +1089,10 @@ struct SubscribePush<'a> {
     pushes: u64,
     shed: bool,
     dead: bool,
+    conn: u64,
+    started: Instant,
+    /// Set once the request is booked (see [`SubscribePush::book`]).
+    booked: bool,
 }
 
 impl SubscribePush<'_> {
@@ -1125,6 +1134,24 @@ impl SubscribePush<'_> {
     fn live(&self) -> bool {
         !self.shed && !self.dead
     }
+
+    /// Books the `subscribe` request once: `overloaded` when the subscriber
+    /// was shed, ok otherwise. A completed stream books it before queueing
+    /// `batch_done`, so a client that has read the terminal frame always
+    /// finds the request counted.
+    fn book(&mut self) {
+        if self.booked {
+            return;
+        }
+        self.booked = true;
+        let summary = if self.shed {
+            error_reply(ErrorCode::Overloaded, "subscriber stopped reading; shed")
+        } else {
+            ok_reply(vec![("pushed", Json::num(self.pushes))])
+        };
+        let elapsed = self.started.elapsed();
+        record_request(self.state, self.conn, "subscribe", &summary, elapsed);
+    }
 }
 
 /// Streams one batch: a `subscribed` acknowledgement, `job_started` once
@@ -1137,6 +1164,8 @@ impl SubscribePush<'_> {
 /// watch` after the fact) still get the full story.
 fn stream_subscription(
     state: &ServerState,
+    conn: u64,
+    started: Instant,
     batch: BatchId,
     interval: Duration,
     stream: &TcpStream,
@@ -1145,10 +1174,9 @@ fn stream_subscription(
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
-            return SubscribeOutcome::Streamed {
-                summary: error_reply(ErrorCode::Internal, "socket clone failed"),
-                close: true,
-            }
+            let reply = error_reply(ErrorCode::Internal, "socket clone failed");
+            record_request(state, conn, "subscribe", &reply, started.elapsed());
+            return SubscribeOutcome::Streamed { close: true };
         }
     };
     let writer = std::thread::spawn(move || {
@@ -1170,32 +1198,19 @@ fn stream_subscription(
         pushes: 0,
         shed: false,
         dead: false,
+        conn,
+        started,
+        booked: false,
     };
     let shutdown = stream_events(state, batch, interval, &mut push);
-    let SubscribePush {
-        pushes,
-        shed,
-        dead,
-        tx,
-        ..
-    } = push;
-    // `tx` must drop *before* the join: a `..` rest pattern keeps unmatched
-    // fields alive to end of scope, and the writer only exits once every
-    // sender is gone (it drains what was queued first).
-    drop(tx);
+    push.book();
+    let close = push.shed || push.dead || shutdown;
+    // The writer only exits once every sender is gone (it drains what was
+    // queued first), so the push, and with it `tx`, must drop before the
+    // join.
+    drop(push);
     writer.join().ok();
-    let summary = if shed {
-        error_reply(ErrorCode::Overloaded, "subscriber stopped reading; shed")
-    } else {
-        ok_reply(vec![
-            ("batch", Json::num(batch.raw())),
-            ("pushed", Json::num(pushes)),
-        ])
-    };
-    SubscribeOutcome::Streamed {
-        summary,
-        close: shed || dead || shutdown,
-    }
+    SubscribeOutcome::Streamed { close }
 }
 
 /// The event loop of one subscription; `true` when it ended because the
@@ -1267,6 +1282,7 @@ fn stream_events(
                 ("batch", Json::num(batch.raw())),
                 ("total", Json::num(total as u64)),
             ]);
+            push.book();
             push.push(&done);
             return false;
         }

@@ -49,6 +49,16 @@ const COUNTER_V: &str = r#"
     endmodule
 "#;
 
+/// A design only the ATPG engine can decide: `ok` holds for every input, so
+/// random simulation never hits, and the multiplier is a gate the SAT
+/// bit-blaster refuses. A race on `ok` therefore runs ATPG to its verdict
+/// however fast the other engines are.
+const DOUBLED_V: &str = r#"
+    module doubled(input [7:0] a, output ok);
+      assign ok = ((a * 8'd2) & 8'd1) == 8'd0;
+    endmodule
+"#;
+
 struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
@@ -99,9 +109,13 @@ impl Client {
     }
 
     fn register_counter(&mut self) -> String {
+        self.register(COUNTER_V)
+    }
+
+    fn register(&mut self, source: &str) -> String {
         let reply = self.call(Json::obj(vec![
             ("op", Json::str("register_design")),
-            ("source", Json::str(COUNTER_V)),
+            ("source", Json::str(source)),
         ]));
         reply
             .get("design")
@@ -111,7 +125,12 @@ impl Client {
     }
 
     fn submit_both(&mut self, design: &str) -> u64 {
-        let job = |monitor: &str| {
+        self.submit(&[(design, "ok"), (design, "bad")])
+    }
+
+    /// Submits one `always` job per `(design, monitor)` pair.
+    fn submit(&mut self, jobs: &[(&str, &str)]) -> u64 {
+        let job = |&(design, monitor): &(&str, &str)| {
             Json::obj(vec![
                 ("design", Json::str(design)),
                 (
@@ -125,7 +144,7 @@ impl Client {
         };
         let reply = self.call(Json::obj(vec![
             ("op", Json::str("submit_batch")),
-            ("jobs", Json::Arr(vec![job("ok"), job("bad")])),
+            ("jobs", Json::Arr(jobs.iter().map(job).collect())),
         ]));
         reply.get("batch").and_then(Json::as_u64).expect("batch id")
     }
@@ -532,8 +551,12 @@ fn metrics_exposition_covers_every_layer() {
     let (addr, handle, _) = start(quick_config());
     let mut client = Client::connect(addr);
     let design = client.register_counter();
-    let batch = client.submit_both(&design);
-    let _ = client.wait(batch);
+    // The counter's races may be won before ATPG evaluates a gate; the
+    // doubled design's race cannot be, so the core counters must move.
+    let doubled = client.register(DOUBLED_V);
+    let batch = client.submit(&[(&design, "ok"), (&design, "bad"), (&doubled, "ok")]);
+    let results = client.wait(batch);
+    assert_eq!(label_of(&results[2]), "proved", "{results:?}");
     // Repeat one property so the cache-hit counter moves too.
     let batch = client.submit_both(&design);
     let _ = client.wait(batch);
@@ -657,7 +680,10 @@ fn events_tails_the_flight_recorder_over_the_wire() {
     let (addr, handle, _) = start(quick_config());
     let mut client = Client::connect(addr);
     let design = client.register_counter();
-    let batch = client.submit_both(&design);
+    // The doubled design's race runs ATPG to its verdict, so core events
+    // are recorded however the counter's races go.
+    let doubled = client.register(DOUBLED_V);
+    let batch = client.submit(&[(&design, "ok"), (&design, "bad"), (&doubled, "ok")]);
     let _ = client.wait(batch);
 
     // Unfiltered tail: the batch left events in every serving layer.

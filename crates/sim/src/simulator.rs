@@ -160,13 +160,28 @@ impl<'a> Simulator<'a> {
         &self.values[net.index()]
     }
 
-    /// Simulates one clock cycle with the given primary-input values.
-    /// Missing inputs keep their previous value (zero initially).
+    /// Simulates one clock cycle with the given primary-input values:
+    /// [`Simulator::settle`] then [`Simulator::clock`]. Missing inputs keep
+    /// their previous value (zero initially).
     ///
     /// # Errors
     ///
     /// Returns an error when an input width does not match its net.
     pub fn step(&mut self, inputs: &[(NetId, Bv)]) -> Result<(), SimulateError> {
+        self.settle(inputs)?;
+        self.clock();
+        Ok(())
+    }
+
+    /// Applies the given primary-input values and evaluates the
+    /// combinational logic for the current state, without clocking the
+    /// flip-flops: afterwards [`Simulator::net_value`] reads every net's
+    /// value during this cycle. Missing inputs keep their previous value.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when an input width does not match its net.
+    pub fn settle(&mut self, inputs: &[(NetId, Bv)]) -> Result<(), SimulateError> {
         for (net, value) in inputs {
             if self.netlist.net_width(*net) != value.width() {
                 return Err(SimulateError::new(format!(
@@ -188,8 +203,13 @@ impl<'a> Simulator<'a> {
             let out_w = self.netlist.net_width(gate.output);
             self.values[gate.output.index()] = eval_gate(&gate.kind, &inputs, out_w);
         }
-        // Latch flip-flop next states, then commit (two-phase to model
-        // simultaneous clocking).
+        Ok(())
+    }
+
+    /// Clocks every flip-flop: latches its data input as settled by the
+    /// last [`Simulator::settle`], then commits (two-phase, to model
+    /// simultaneous clocking).
+    pub fn clock(&mut self) {
         self.pending_state.clear();
         for (_, gate) in self.netlist.gates() {
             if gate.kind.is_flip_flop() {
@@ -200,7 +220,6 @@ impl<'a> Simulator<'a> {
         for (net, value) in self.pending_state.drain(..) {
             self.values[net] = value;
         }
-        Ok(())
     }
 
     /// Evaluates only the combinational logic for the current state and the
@@ -210,26 +229,7 @@ impl<'a> Simulator<'a> {
         &mut self,
         inputs: &[(NetId, Bv)],
     ) -> Result<Vec<Bv>, SimulateError> {
-        for (net, value) in inputs {
-            if self.netlist.net_width(*net) != value.width() {
-                return Err(SimulateError::new(format!(
-                    "input {net} expects width {}, got {}",
-                    self.netlist.net_width(*net),
-                    value.width()
-                )));
-            }
-            self.values[net.index()] = value.clone();
-        }
-        for gate_id in &self.order {
-            let gate = self.netlist.gate(*gate_id);
-            let ins: Vec<Bv> = gate
-                .inputs
-                .iter()
-                .map(|n| self.values[n.index()].clone())
-                .collect();
-            let out_w = self.netlist.net_width(gate.output);
-            self.values[gate.output.index()] = eval_gate(&gate.kind, &ins, out_w);
-        }
+        self.settle(inputs)?;
         Ok(self.values.clone())
     }
 }
@@ -257,9 +257,8 @@ pub fn simulate(
     for cycle_inputs in inputs_per_cycle {
         let inputs: Vec<(NetId, Bv)> = cycle_inputs.iter().map(|(n, v)| (*n, v.clone())).collect();
         // Record the pre-clock (combinational) view of the cycle.
-        let values = sim.evaluate_combinational(&inputs)?;
-        frames.push(values);
-        sim.step(&inputs)?;
+        frames.push(sim.evaluate_combinational(&inputs)?);
+        sim.clock();
     }
     Ok(SimRun { frames })
 }
